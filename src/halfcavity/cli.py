@@ -31,13 +31,13 @@ import configparser
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, bloch, decay, spectrum, weakdrive
-from .params import SystemParams, phase_distance, wrap_phase
+from . import __version__, bloch, dde, decay, spectrum, weakdrive
+from .numerics import completed_round_trips
+from .params import SystemParams
 
 MODES = (
     "decay-population",
@@ -76,7 +76,6 @@ class ScenarioConfig:
     grids: dict = field(default_factory=dict)
     out: str = "out.csv"
     tol: float = 1e-10
-    threads: int = 1
     extras: dict = field(default_factory=dict)
 
 
@@ -90,14 +89,17 @@ def _parse_float(section, key, raw):
     return val
 
 
+def _parse_int(section, key, raw):
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: not an integer ({raw!r})") from exc
+
+
 def _build_grid(name, sec):
     start = _parse_float(f"grid.{name}", "start", sec.get("start", ""))
     stop = _parse_float(f"grid.{name}", "stop", sec.get("stop", ""))
-    points = sec.get("points", "")
-    try:
-        n = int(points)
-    except ValueError as exc:
-        raise ConfigError(f"[grid.{name}] points: not an integer ({points!r})") from exc
+    n = _parse_int(f"grid.{name}", "points", sec.get("points", ""))
     if n < 2:
         raise ConfigError(f"[grid.{name}] points: need at least 2, got {n}")
     if stop <= start:
@@ -106,9 +108,9 @@ def _build_grid(name, sec):
 
 
 def load_config(path: str, mode_override: str | None = None,
-                out_override: str | None = None, tol: float | None = None,
-                threads: int | None = None) -> ScenarioConfig:
-    """Parse and fully validate a scenario file."""
+                out_override: str | None = None,
+                tol: float | None = None) -> ScenarioConfig:
+    """Parse and fully validate a scenario file; ``tol`` overrides the file's."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = cp.read(path)
     if not read:
@@ -121,8 +123,17 @@ def load_config(path: str, mode_override: str | None = None,
     if mode not in MODES:
         raise ConfigError(f"[scenario] mode: unknown mode {mode!r}; "
                           f"choose from {', '.join(MODES)}")
+    if tol is None:
+        tol = _parse_float("scenario", "tol", scen.get("tol", "1e-10"))
+    lo, hi = dde.TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ConfigError(f"[scenario] tol: must lie in [{lo:g}, {hi:g}], got {tol:g}")
+    if "threads" in scen:  # deprecated no-op, still rejected when malformed
+        _parse_int("scenario", "threads", scen["threads"])
 
     prm = cp["params"] if "params" in cp else {}
+    if "tau" in prm and "gamma_tau" in prm:
+        raise ConfigError("[params] give either tau or gamma_tau, not both")
     kwargs = {}
     key_map = {
         "gamma": "gamma", "epsilon": "epsilon", "rabi": "rabi",
@@ -131,9 +142,7 @@ def load_config(path: str, mode_override: str | None = None,
     for key, raw in prm.items():
         if key in key_map:
             kwargs[key_map[key]] = _parse_float("params", key, raw)
-        elif key == "tau":
-            kwargs["tau"] = _parse_float("params", key, raw)
-        elif key == "gamma_tau":
+        elif key in ("tau", "gamma_tau"):
             kwargs["tau"] = _parse_float("params", key, raw)
         elif key in ("theta0", "theta_l", "thetal"):
             kwargs["theta_l" if key != "theta0" else "theta0"] = \
@@ -181,8 +190,7 @@ def load_config(path: str, mode_override: str | None = None,
     return ScenarioConfig(
         mode=mode, params=params, grids=grids,
         out=out_override or scen.get("out", "out.csv"),
-        tol=tol if tol is not None else float(scen.get("tol", "1e-10")),
-        threads=threads if threads is not None else int(scen.get("threads", "1")),
+        tol=tol,
         extras=extras,
     )
 
@@ -210,12 +218,7 @@ def validate(path: str) -> list[str]:
     """Validate a config without computing; returns human-readable lines."""
     cfg = load_config(path)
     lines = [f"ok: mode {cfg.mode}"]
-    p = cfg.params
-    if p.theta0 is not None and p.theta_l is not None:
-        drift = phase_distance(wrap_phase(p.theta0 - p.detuning * p.tau), p.theta_l)
-        if drift > 1e-9:
-            raise ConfigError("phase consistency violated")  # unreachable: params checked
-    for key, val in derived_report(p).items():
+    for key, val in derived_report(cfg.params).items():
         lines.append(f"{key} = {val}")
     return lines
 
@@ -223,13 +226,6 @@ def validate(path: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # mode runners
 # ---------------------------------------------------------------------------
-
-def _chunked_map(func, items, threads):
-    if threads <= 1:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
 
 def _run_decay_population(cfg):
     p = cfg.params
@@ -264,12 +260,10 @@ def _run_decay_spectrum(cfg):
 def _run_weak_population(cfg):
     p = cfg.params
     ts = cfg.grids["time"]
-    amp = _chunked_map(lambda t: weakdrive.perturbative_amplitude(p, t), ts, cfg.threads)
-    pop = np.abs(np.array(amp)) ** 2
+    pop = np.abs(np.array([weakdrive.perturbative_amplitude(p, t) for t in ts])) ** 2
     plateau = np.empty_like(ts)
     for i, t in enumerate(ts):
-        n = int(t / p.tau) if p.tau > 0 else 0
-        om = weakdrive.rabi_staircase(p, n)
+        om = weakdrive.rabi_staircase(p, completed_round_trips(t, p.tau))
         plateau[i] = abs(om) ** 2 / (p.gamma ** 2 + 4.0 * p.detuning ** 2)
     return ["time", "population", "population_staircase"], \
         np.column_stack([ts, pop, plateau])
@@ -288,7 +282,6 @@ def _run_bloch_steady_sweep(cfg):
     p = cfg.params
     grid = cfg.grids["sweep"]
     var = cfg.extras.get("sweep_variable", "gamma_tau")
-    rows = []
     if var == "gamma_tau":
         def one(gt):
             node = SystemParams(p.epsilon, gt / p.gamma, theta0=0.0,
@@ -304,7 +297,6 @@ def _run_bloch_steady_sweep(cfg):
             else:
                 row += [math.nan, math.nan]
             return row
-        rows = _chunked_map(one, grid, cfg.threads)
         header = ["gamma_tau", "pop_e_node", "pop_e_antinode",
                   "envelope_node", "envelope_antinode"]
     else:
@@ -315,9 +307,8 @@ def _run_bloch_steady_sweep(cfg):
                     bloch.delay_bloch_steady(q).pop_e.real,
                     bloch.markov_bloch_steady(q).pop_e.real,
                     bloch.epsilon_expansion_population(q)]
-        rows = _chunked_map(one, grid, cfg.threads)
         header = ["theta_l", "pop_e_delay", "pop_e_markov", "pop_e_expansion"]
-    return header, np.array(rows)
+    return header, np.array([one(x) for x in grid])
 
 
 def _run_bloch_transient(cfg):
@@ -410,8 +401,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="override the output path")
     ap.add_argument("--validate-only", action="store_true",
                     help="check the config and report derived parameters")
-    ap.add_argument("--threads", type=int, help="worker threads for grid fan-out")
-    ap.add_argument("--tol", type=float, help="integrator tolerance")
+    ap.add_argument("--threads", type=int, help="deprecated and ignored")
+    ap.add_argument("--tol", type=float, help="integrator tolerance, in [1e-14, 1e-4]")
     args = ap.parse_args(argv)
 
     try:
@@ -419,7 +410,7 @@ def main(argv=None) -> int:
             for line in validate(args.config):
                 print(line)
             return 0
-        cfg = load_config(args.config, args.mode, args.out, args.tol, args.threads)
+        cfg = load_config(args.config, args.mode, args.out, args.tol)
         summary = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,8 +28,13 @@ __all__ = [
     "DdeError",
     "NonFiniteStateError",
     "ToleranceNotMetError",
+    "TOL_RANGE",
     "integrate",
 ]
+
+
+# accepted range of the integrator tolerance, shared with the CLI's config check
+TOL_RANGE = (1e-14, 1e-4)
 
 
 class DdeError(RuntimeError):
@@ -215,8 +220,9 @@ def integrate(problem: DdeProblem, tol: float = 1e-10) -> HistorySolution:
     NonFiniteStateError, ToleranceNotMetError
         On numerical failure, with the failing time in the message.
     """
-    if not 1e-14 <= tol <= 1e-4:
-        raise ValueError(f"tol must lie in [1e-14, 1e-4], got {tol}")
+    lo, hi = TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ValueError(f"tol must lie in [{lo:g}, {hi:g}], got {tol}")
 
     a, b, c, tau = problem.a, problem.b, problem.c, problem.tau
     t_end = problem.t_end

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dde
-from .numerics import kummer_minus_exp, poisson_weight
+from .numerics import exp_kernel, kummer_minus_exp, round_trip_series
 from .params import SystemParams
 
 __all__ = [
@@ -104,34 +104,19 @@ def series_amplitude(p: SystemParams, t: float) -> complex:
 
     Term n is the contribution of radiation that completed n round trips:
     (epsilon*gamma/2)^n / n! * e^{i n theta0} * (t - n tau)^n
-    * e^{-gamma (t - n tau)/2}, active for t > n*tau.  Truncates at
-    n = floor(t/tau) (later terms vanish identically) or when the term
-    magnitude falls below 1e-14.
+    * e^{-gamma (t - n tau)/2}, active for t > n*tau.  Summed and truncated
+    by :func:`~halfcavity.numerics.round_trip_series`.
     """
     p.require_no_drive("series_amplitude")
     if t < 0:
         raise ValueError("t must be >= 0")
     g = p.gamma
-    alpha = 0.5 * p.epsilon * g * np.exp(1j * p.theta0)
     if p.tau == 0.0:
         # the series sums to a single exponential when the delay vanishes
+        alpha = 0.5 * p.epsilon * g * np.exp(1j * p.theta0)
         return complex(np.exp(-0.5 * g * t) * np.exp(alpha * t))
-    total = 0.0 + 0.0j
-    n_max = int(math.floor(t / p.tau + 1e-12))
-    rate = abs(alpha)
-    peak = 0.0
-    for n in range(n_max + 1):
-        dt = max(t - n * p.tau, 0.0)
-        weight = poisson_weight(n, rate * dt)
-        term = weight * np.exp(1j * n * p.theta0) * np.exp(-0.5 * g * dt)
-        total += term
-        # terms rise towards their Poisson peak before falling; stop only
-        # when well past it (the remaining tail is capped by e^{rate*dt})
-        mag = abs(term)
-        peak = max(peak, mag)
-        if mag < 1e-14 * max(peak, 1.0) and weight * math.exp(rate * dt) < 1e-14:
-            break
-    return complex(total)
+    return complex(round_trip_series(t, p.tau, 0.5 * p.epsilon * g, p.theta0,
+                                     0.5 * g, exp_kernel))
 
 
 def series_population(p: SystemParams, times) -> np.ndarray:
@@ -197,7 +182,8 @@ def transient_spectrum(p: SystemParams, t: float, channel: int, delta_grid) -> S
 
     Round-trip series in which term n carries the kernel
     ``kummer_minus_exp(n, -(gamma/2 - i*delta)(t - n tau))`` and the
-    interference phase e^{i n (theta0 + delta tau)}.  The n = 0 term is the
+    interference phase e^{i n (theta0 + delta tau)}, summed and truncated by
+    :func:`~halfcavity.numerics.round_trip_series`.  The n = 0 term is the
     familiar transient line shape of free-space decay.
     """
     p.require_no_drive("transient_spectrum")
@@ -209,19 +195,8 @@ def transient_spectrum(p: SystemParams, t: float, channel: int, delta_grid) -> S
     g = p.gamma
     pole = 0.5 * g - 1j * delta                      # gamma/2 + i(omega0 - omega)
     pref = _channel_weight(p, delta, channel) / pole
-    total = np.zeros_like(delta, dtype=complex)
-    n_max = 0 if p.epsilon == 0.0 else int(math.floor(t / p.tau + 1e-12))
-    rate = 0.5 * p.epsilon * g
-    for n in range(n_max + 1):
-        dt = max(t - n * p.tau, 0.0)
-        weight = poisson_weight(n, rate * dt)
-        phase = np.exp(1j * n * (p.theta0 + delta * p.tau))
-        total += weight * phase * kummer_minus_exp(n, -pole * dt)
-        # |kernel_n| <= n!/(|pole| dt)^n + 1, so the remaining terms are
-        # bounded by a geometric eps tail plus an exponential-series tail
-        geo = p.epsilon ** (n + 1) / (1.0 - p.epsilon) if p.epsilon < 1.0 else math.inf
-        if geo + weight * rate * dt * math.exp(rate * dt) < 1e-14:
-            break
+    total = round_trip_series(t, p.tau, 0.5 * p.epsilon * g, p.theta0 + delta * p.tau,
+                              pole, kummer_minus_exp)
     return SpectralAmplitude(delta, pref * total, channel)
 
 
@@ -245,15 +220,6 @@ def steady_spectrum(p: SystemParams, channel: int, delta_grid) -> SpectralAmplit
     denom = (0.25 * g * g * (1.0 - p.epsilon * np.cos(phase)) ** 2
              + (0.5 * p.epsilon * g * np.sin(phase) + delta) ** 2)
     return SpectralAmplitude(delta, a2 / denom, channel)
-
-
-def default_decay_grid(p: SystemParams, half_width: float = 20.0,
-                       points_per_unit: float = 20.0) -> np.ndarray:
-    """Detuning grid resolving both the line width and the 1/tau oscillation."""
-    scale = min(p.gamma, 1.0 / p.tau) if p.tau > 0 else p.gamma
-    step = scale / points_per_unit
-    n = max(2, int(round(2 * half_width * p.gamma / step)) + 1)
-    return np.linspace(-half_width * p.gamma, half_width * p.gamma, n)
 
 
 # ---------------------------------------------------------------------------

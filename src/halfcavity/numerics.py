@@ -1,11 +1,11 @@
 """Special functions and small dense complex linear algebra.
 
-Everything in this module is generic numerics: the series kernel
-``kummer_minus_exp`` used by all delay-series solutions, a
-scaling-and-squaring matrix exponential for the small (3x3 / 4x4)
-generators, window convolutions of two matrix exponentials, linear
-solves with a condition guard, and the null eigenvector used for
-steady states.  All functions are pure.
+Everything in this module is generic numerics: the round-trip series
+that every delay-series solution sums, with its kernels
+``kummer_minus_exp`` and ``exp_kernel``, a scaling-and-squaring matrix
+exponential for the small (3x3 / 4x4) generators, window convolutions of
+two matrix exponentials, linear solves with a condition guard, and the
+null eigenvector used for steady states.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ __all__ = [
     "DegenerateKernelError",
     "cexpm1",
     "kummer_minus_exp",
+    "exp_kernel",
+    "completed_round_trips",
+    "round_trip_series",
     "matrix_exponential",
     "expm_convolution",
     "solve_linear",
@@ -35,7 +38,7 @@ class DegenerateKernelError(np.linalg.LinAlgError):
 
 
 # ---------------------------------------------------------------------------
-# series kernel
+# round-trip series and its kernels
 # ---------------------------------------------------------------------------
 
 def cexpm1(s):
@@ -138,6 +141,48 @@ def kummer_minus_exp(n: int, s):
         out[~small] = pref * (1.0 - np.exp(-zl) * en)
 
     return out[0] if scalar else out
+
+
+def exp_kernel(n: int, s):
+    """Plain exponential series kernel ``exp(s)``, the same for every order n."""
+    return np.exp(s)
+
+
+def completed_round_trips(t: float, tau: float) -> int:
+    """Round trips completed by time t, floor(t/tau + 1e-12); 0 when tau = 0.
+
+    The slack counts a time on a multiple of tau up to rounding
+    (0.6/0.2 = 2.9999999999999996) as completing that round trip.
+    """
+    return int(math.floor(t / tau + 1e-12)) if tau > 0 else 0
+
+
+def round_trip_series(t: float, tau: float, rate: float, phase, drift, kernel):
+    """Sum of shifted pulses, one per completed round trip.
+
+    Returns ``sum_n poisson_weight(n, rate*dt_n) * e^{i n phase}
+    * kernel(n, -drift*dt_n)`` with ``dt_n = t - n*tau``, for n from 0 to
+    :func:`completed_round_trips` (only n = 0 when tau = 0).  ``t`` is a
+    scalar; ``phase`` (real) and ``drift`` may be arrays of one shape, and
+    the result then has that shape.  ``kernel`` is :func:`kummer_minus_exp`
+    or :func:`exp_kernel`.
+
+    Stopping rule, valid for Re(drift) >= 0: for n >= 1,
+    ``1F1(n, n+1; s) = n int_0^1 u^(n-1) e^(su) du`` has modulus <= 1, so
+    both kernels have modulus <= 2 (n = 0 included).  With
+    ``x = rate*dt_n`` the terms after n then sum to at most
+    ``2 x^(n+1)/(n+1)! e^x``, and the sum stops once that bound falls below
+    1e-14.
+    """
+    total = 0.0
+    for n in range(completed_round_trips(t, tau) + 1):
+        dt = max(t - n * tau, 0.0)
+        x = rate * dt
+        weight = poisson_weight(n, x)
+        total += weight * np.exp(1j * n * phase) * kernel(n, -drift * dt)
+        if 2.0 * weight * x / (n + 1) < 1e-14 * math.exp(-x):
+            break
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import dde
-from .numerics import kummer_minus_exp, poisson_weight
+from .numerics import exp_kernel, kummer_minus_exp, round_trip_series
 from .params import SystemParams
 
 __all__ = [
@@ -73,20 +73,12 @@ def perturbative_amplitude(p: SystemParams, t: float) -> complex:
 
 
 def _driven_series(p: SystemParams, t: float) -> complex:
-    """Series sum_n (eps*gamma/2)^n/n! e^{i n theta_l} (t-n tau)^n G_n[-drift*(t-n tau)]."""
-    a1 = _drift(p)
-    if p.tau == 0.0:
-        if p.epsilon == 0.0:
-            return complex(kummer_minus_exp(0, -a1 * t))
+    """Series sum_n (eps*gamma/2)^n/n! e^{i n theta_l} (t-n tau)^n G_n[-drift*(t-n tau)],
+    summed and truncated by :func:`~halfcavity.numerics.round_trip_series`."""
+    if p.tau == 0.0 and p.epsilon > 0.0:
         raise ValueError("driven series needs tau > 0 when epsilon > 0")
-    total = 0.0 + 0.0j
-    rate = abs(_feedback(p))
-    n_max = int(math.floor(t / p.tau + 1e-12))
-    for n in range(n_max + 1):
-        dt = max(t - n * p.tau, 0.0)
-        weight = poisson_weight(n, rate * dt) * np.exp(1j * n * p.theta_l)
-        total += weight * kummer_minus_exp(n, -a1 * dt)
-    return complex(total)
+    return complex(round_trip_series(t, p.tau, abs(_feedback(p)), p.theta_l, _drift(p),
+                                     kummer_minus_exp))
 
 
 def steady_population_weak(p: SystemParams) -> float:
@@ -176,7 +168,8 @@ def oscillator_coeffs(p: SystemParams) -> OscillatorCoeffs:
     free_propagator(t) = sum_n alpha2^n/n! (t - n tau)^n e^{-alpha1 (t-n tau)}
 
     with every term gated at t > n*tau (the n = 0 drive term is live from
-    t = 0, as the free-space response requires).
+    t = 0, as the free-space response requires).  Both are summed and
+    truncated by :func:`~halfcavity.numerics.round_trip_series`.
     """
     a1 = _drift(p)
     a2 = _feedback(p)
@@ -192,17 +185,9 @@ def oscillator_coeffs(p: SystemParams) -> OscillatorCoeffs:
     def free_propagator(t: float) -> complex:
         if t < 0:
             raise ValueError("t must be >= 0")
-        if p.tau == 0.0:
-            if p.epsilon == 0.0:
-                return complex(np.exp(-a1 * t))
+        if p.tau == 0.0 and p.epsilon > 0.0:
             raise ValueError("free propagator needs tau > 0 when epsilon > 0")
-        total = 0.0 + 0.0j
-        rate = abs(a2)
-        for n in range(int(math.floor(t / p.tau + 1e-12)) + 1):
-            dt = max(t - n * p.tau, 0.0)
-            weight = poisson_weight(n, rate * dt) * np.exp(1j * n * p.theta_l)
-            total += weight * np.exp(-a1 * dt)
-        return complex(total)
+        return complex(round_trip_series(t, p.tau, abs(a2), p.theta_l, a1, exp_kernel))
 
     return OscillatorCoeffs(a1, a2, a3, drive_response, free_propagator)
 

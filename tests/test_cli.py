@@ -100,6 +100,32 @@ points = 10
             grids="[grid.time]\nstart = 2\nstop = 0\npoints = 10\n"))
         assert run_main(["--config", cfg]) == 2
 
+    @pytest.mark.parametrize("scenario, params, args, field", [
+        ("tol = abc\n", "", [], "tol"),
+        ("tol = 0.5\n", "", [], "tol"),
+        ("", "", ["--tol", "0.5"], "tol"),
+        ("threads = two\n", "", [], "threads"),
+        ("", "tau = 0.4\n", [], "gamma_tau"),
+    ])
+    def test_bad_scenario_values_exit_2(self, tmp_path, capsys, scenario, params, args, field):
+        cfg = write_config(tmp_path, f"""
+[scenario]
+mode = decay-population
+out = {tmp_path / "o.csv"}
+{scenario}
+[params]
+epsilon = 0.4
+gamma_tau = 0.4
+theta0 = 0.0
+{params}
+[grid.time]
+start = 0
+stop = 2
+points = 10
+""")
+        assert run_main(["--config", cfg, *args]) == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_mode(self, tmp_path):
         cfg = write_config(tmp_path, BASE.format(
             mode="nonsense", out=tmp_path / "o.csv", extra_params="",
@@ -152,6 +178,37 @@ class TestModes:
             text = out.read_text()
             assert text.startswith("# mode =")
             assert (tmp_path / f"{mode}.csv.meta.json").exists()
+
+    def test_weak_population_plateau_on_a_multiple_of_tau(self, tmp_path):
+        # 0.6/0.2 rounds to 2.9999999999999996; the row still holds plateau 3
+        out = tmp_path / "weak.csv"
+        cfg = write_config(tmp_path, f"""
+[scenario]
+mode = weak-population
+out = {out}
+
+[params]
+epsilon = 0.4
+gamma_tau = 0.2
+theta0 = 0.0
+rabi = 0.05
+
+[grid.time]
+start = 0
+stop = 1.2
+points = 7
+""")
+        assert run_main(["--config", cfg]) == 0
+        names, data = read_table(out)
+        from halfcavity import weakdrive
+        from halfcavity.params import SystemParams
+        p = SystemParams(epsilon=0.4, tau=0.2, theta0=0.0, rabi=0.05)
+        row = data[3]
+        assert row[0] == pytest.approx(0.6, abs=1e-12)
+        assert row[names.index("population_staircase")] == pytest.approx(
+            abs(weakdrive.rabi_staircase(p, 3)) ** 2, rel=1e-11)
+        assert row[names.index("population_staircase")] != pytest.approx(
+            abs(weakdrive.rabi_staircase(p, 2)) ** 2, rel=1e-6)
 
     def test_emission_spectrum_metadata_carries_coherent_weight(self, tmp_path):
         out = tmp_path / "spec.csv"

@@ -10,11 +10,14 @@ from numpy.polynomial.legendre import leggauss
 from halfcavity.numerics import (
     DegenerateKernelError,
     SingularMatrixError,
+    completed_round_trips,
+    exp_kernel,
     expm_convolution,
     kummer_minus_exp,
     matrix_exponential,
     null_eigenvector,
     poisson_weight,
+    round_trip_series,
     solve_linear,
 )
 
@@ -130,6 +133,73 @@ def test_poisson_weight_matches_direct():
     # regime where x^n alone would overflow
     w = poisson_weight(400, 100.0)
     assert math.isfinite(w)
+
+
+def reference_series(t, tau, rate, phase, drift, kernel,
+                     weight=lambda n, x: x ** n / math.factorial(n)):
+    """Every round-trip term up to floor(t/tau), summed in plain Python."""
+    total = 0j
+    for n in range(int(math.floor(t / tau + 1e-12)) + 1):
+        dt = max(t - n * tau, 0.0)
+        total = total + weight(n, rate * dt) * np.exp(1j * n * phase) * kernel(n, -drift * dt)
+    return total
+
+
+def counting(kernel, orders):
+    """Wrap a series kernel so that the orders it is called with land in ``orders``."""
+    def counted(n, s):
+        orders.append(n)
+        return kernel(n, s)
+    return counted
+
+
+class TestRoundTripSeries:
+    @pytest.mark.parametrize("kernel", [kummer_minus_exp, exp_kernel])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 13])
+    def test_matches_reference_at_multiples_of_tau(self, kernel, k):
+        tau, rate = 0.4, 0.35
+        t = k * tau
+        for phase, drift in ((0.0, 0.5), (1.3, 0.5 + 0.3j), (math.pi, 0.5 - 4.0j)):
+            got = round_trip_series(t, tau, rate, phase, drift, kernel)
+            ref = reference_series(t, tau, rate, phase, drift, kernel)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("kernel", [kummer_minus_exp, exp_kernel])
+    def test_array_phase_and_drift(self, kernel):
+        delta = np.linspace(-5.0, 5.0, 7)
+        tau, t = 0.4, 3.7
+        phase, drift = 1.0 + delta * tau, 0.5 - 1j * delta
+        got = round_trip_series(t, tau, 0.2, phase, drift, kernel)
+        assert got.shape == delta.shape
+        for i in range(len(delta)):
+            ref = reference_series(t, tau, 0.2, phase[i], drift[i], kernel)
+            assert abs(got[i] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_zero_time_and_zero_delay_keep_only_the_first_term(self):
+        assert round_trip_series(0.0, 0.4, 0.5, 1.0, 0.5, exp_kernel) == 1.0
+        assert round_trip_series(0.0, 0.4, 0.5, 1.0, 0.5, kummer_minus_exp) == 0.0
+        assert round_trip_series(2.0, 0.0, 0.0, 1.0, 0.5, exp_kernel) == pytest.approx(
+            math.exp(-1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("kernel", [kummer_minus_exp, exp_kernel])
+    def test_stopping_rule_fires_within_its_bound(self, kernel):
+        # epsilon = 1 at t = 300: the sum stops well before n_max = 100
+        tau, rate, t = 3.0, 0.5, 300.0
+        for phase, drift in ((0.0, 0.5), (1.0, 0.5 + 0.3j), (math.pi, 0.5 - 4.0j)):
+            orders = []
+            got = round_trip_series(t, tau, rate, phase, drift, counting(kernel, orders))
+            assert max(orders) < completed_round_trips(t, tau) - 5
+            full = reference_series(t, tau, rate, phase, drift, kernel, weight=poisson_weight)
+            assert abs(got - full) <= 1e-14
+            # against exact factorial weights, up to the rounding of the log-space weights
+            exact = reference_series(t, tau, rate, phase, drift, kernel)
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_completed_round_trips_absorbs_rounding(self):
+        assert 0.6 / 0.2 < 3.0
+        assert completed_round_trips(0.6, 0.2) == 3
+        assert completed_round_trips(0.59, 0.2) == 2
+        assert completed_round_trips(5.0, 0.0) == 0
 
 
 class TestMatrixExponential:

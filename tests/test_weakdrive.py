@@ -96,6 +96,23 @@ class TestOscillatorModel:
         assert co.drive_response(0.0) == 0.0
         assert co.free_propagator(0.0) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("kernel", ["kummer_minus_exp", "exp_kernel"])
+    def test_series_stop_before_the_last_round_trip(self, monkeypatch, kernel):
+        # drive response and free propagator sum through these two kernels;
+        # at epsilon = 1, t = 300 the tail bound ends both well before n_max
+        from halfcavity import weakdrive
+        from halfcavity.numerics import completed_round_trips
+
+        p = params(eps=1.0, gt=3.0, th=1.0, detuning=0.3)
+        orders = []
+        inner = getattr(weakdrive, kernel)
+        monkeypatch.setattr(weakdrive, kernel, lambda n, s: orders.append(n) or inner(n, s))
+        co = hc.oscillator_coeffs(p)
+        value = co.drive_response(300.0) if kernel == "kummer_minus_exp" \
+            else co.free_propagator(300.0)
+        assert math.isfinite(abs(value))
+        assert 0 < max(orders) < completed_round_trips(300.0, p.tau) - 5
+
     def test_undriven_propagator_reproduces_decay_series(self):
         p = SystemParams(epsilon=0.4, tau=0.4, theta_l=1.0, rabi=0.0)
         co = hc.oscillator_coeffs(p)
