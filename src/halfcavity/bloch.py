@@ -168,18 +168,22 @@ def markov_bloch_steady(p: SystemParams) -> BlochVector:
     return BlochVector(sm, np.conj(sm), 0.5 * (1.0 + sz), 0.5 * (1.0 - sz))
 
 
-def markov_bloch_transient(p: SystemParams, t_end: float, n_out: int = 400,
-                           tol: float = 1e-10) -> BlochTrajectory:
-    """Ground-state transient of the Markov-limit Bloch equations."""
+def markov_bloch_transient(p: SystemParams, t_end: float, n_out: int = 400) -> BlochTrajectory:
+    """Ground-state transient of the Markov-limit Bloch equations.
+
+    Exact: the affine system s3' = A3 s3 + c is the homogeneous one of the
+    augmented generator [[A3, c], [0, 0]] acting on (s3, 1), whose
+    exponential stays valid when A3 is singular.
+    """
+    if t_end < 0.0:
+        raise ValueError("t_end must be >= 0")
     gt, dt = p.gamma_tilde_l, p.delta_tilde
-    a3 = obe_generator3(p, gamma=gt, detuning=dt)
-    problem = dde.DdeProblem(
-        a=a3, b=np.zeros((3, 3)), c=np.array([0.0, 0.0, -gt], dtype=complex),
-        tau=max(p.tau, 1.0), x0=np.array([0.0, 0.0, -1.0], dtype=complex), t_end=t_end)
-    sol = dde.integrate(problem, tol=tol)
+    gen = np.zeros((4, 4), dtype=complex)
+    gen[:3, :3] = obe_generator3(p, gamma=gt, detuning=dt)
+    gen[2, 3] = -gt
+    x0 = np.array([0.0, 0.0, -1.0, 1.0], dtype=complex)
     times = np.linspace(0.0, t_end, n_out)
-    s3 = sol.query(times)
-    states = np.array([_vec3_to4(row) for row in s3])
+    states = np.array([_vec3_to4(matrix_exponential(gen, t) @ x0) for t in times])
     return BlochTrajectory(times, states)
 
 
@@ -209,7 +213,7 @@ class DelayKernel:
 
     ``u_tau`` is the free evolution over one round trip (population pair
     basis), ``k_tau`` the kernel matrix multiplying epsilon*S(t - tau), and
-    f1..f4 the scalar combinations of U(tau) elements it is built from.
+    f1, f4 the scalar combinations of U(tau) elements on its diagonal.
     At tau = 0 the kernel reduces the delay system to the Markov-limit
     equations exactly.
     """
@@ -217,48 +221,30 @@ class DelayKernel:
     u_tau: np.ndarray
     k_tau: np.ndarray
     f1: complex
-    f2: complex
-    f3: complex
     f4: complex
 
 
 def delay_kernel(p: SystemParams) -> DelayKernel:
     """Build the feedback kernel from the free round-trip evolution.
 
-    f1 = -e^{i theta_l}(U34 - U44)            (coherence damping),
-    f2 = -e^{i theta_l}(2i gamma/rabi) U31*   (coherence drive),
-    f3 =  e^{i theta_l}(i gamma/rabi) U24     (population drive),
-    f4 = Re part combination of U11           (population damping),
+    f1  = -e^{i theta_l}(U34 - U44)           (coherence damping),
+    f4  = Re part combination of U11          (population damping),
+    k13 = -gamma e^{i theta_l} U31*           (coherence drive),
+    k31 = (gamma/2) e^{i theta_l} U24         (population drive),
 
     assembled into the kernel so rows 3 and 4 cancel (trace preserved) and
-    rows 1 and 2 stay conjugate.  f2 and f3 have removable rabi -> 0
-    limits (the U elements vanish linearly); closed forms are substituted
-    below rabi = 1e-6*gamma.
+    rows 1 and 2 stay conjugate.  Every entry is a plain product of U
+    elements, so the kernel is smooth down to rabi = 0.
     """
-    g, w, d = p.gamma, p.rabi, p.detuning
-    tau = p.tau
+    g, tau = p.gamma, p.tau
     u = matrix_exponential(obe_generator4(p), tau) if tau > 0 else np.eye(4, dtype=complex)
     e_plus = np.exp(1j * p.theta_l)
     e_minus = np.conj(e_plus)
 
     f1 = -e_plus * (u[2, 3] - u[3, 3])
     f4 = 0.5 * (e_minus * u[0, 0] + e_plus * np.conj(u[0, 0]))
-    # the kernel entries carry rabi*f2 and rabi*f3, which reduce to plain
-    # products of U elements; no division by rabi is ever needed there
     k13 = -g * e_plus * np.conj(u[2, 0])
     k31 = 0.5 * g * e_plus * u[1, 3]
-    if w > 1e-6 * g:
-        f2 = -e_plus * (2j * g / w) * np.conj(u[2, 0])
-        f3 = e_plus * (1j * g / w) * u[1, 3]
-    else:
-        # removable singularity: U31, U24 vanish linearly in rabi
-        a = 0.5 * g + 1j * d
-        u31_lin = (-0.5j * np.exp(-g * tau) * (np.exp((g - a) * tau) - 1.0) / (g - a)
-                   if tau > 0 else 0.0 + 0.0j)
-        u24_lin = (-0.5j * (1.0 - np.exp(-np.conj(a) * tau)) / np.conj(a)
-                   if tau > 0 else 0.0 + 0.0j)
-        f2 = -e_plus * 2j * g * np.conj(u31_lin)
-        f3 = e_plus * 1j * g * u24_lin
 
     k = np.array([
         [0.5 * g * f1, 0.0, k13, 0.0],
@@ -266,7 +252,7 @@ def delay_kernel(p: SystemParams) -> DelayKernel:
         [k31, np.conj(k31), g * f4, 0.0],
         [-k31, -np.conj(k31), -g * f4, 0.0],
     ], dtype=complex)
-    return DelayKernel(u, k, f1, f2, f3, f4)
+    return DelayKernel(u, k, f1, f4)
 
 
 def delay_bloch_transient(p: SystemParams, t_end: float, n_out: int = 400,

@@ -135,11 +135,7 @@ class HistorySolution:
         if np.any(t_arr < -1e-12) or np.any(t_arr > self.t_end * (1 + 1e-12) + 1e-300):
             raise ValueError(f"query time outside [0, {self.t_end}]")
         t_arr = np.clip(t_arr, 0.0, self.t_end)
-        idx = np.searchsorted(self._starts, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self._starts) - 1)
-        theta = (t_arr - self._starts[idx]) / self._widths[idx]
-        powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
-        vals = self._y0s[idx] + np.einsum("ndp,np->nd", self._coeffs[idx], powers)
+        vals = _dense_eval(self._starts, self._widths, self._y0s, self._coeffs, t_arr)
         return vals[0] if np.ndim(t) == 0 else vals
 
     __call__ = query
@@ -152,6 +148,18 @@ class HistorySolution:
     def step_times(self):
         """Left endpoints of the accepted steps (includes every multiple of tau)."""
         return self._starts.copy()
+
+
+def _dense_eval(starts, widths, y0s, coeffs, t):
+    """Quartic dense output of a table of consecutive steps at the times t (1-D).
+
+    A time outside the table is evaluated on its first or last step.
+    """
+    idx = np.searchsorted(starts, t, side="right") - 1
+    idx = np.clip(idx, 0, len(starts) - 1)
+    theta = (t - starts[idx]) / widths[idx]
+    powers = np.stack([theta, theta**2, theta**3, theta**4], axis=-1)
+    return y0s[idx] + np.einsum("ndp,np->nd", coeffs[idx], powers)
 
 
 def _rk_step(rhs, t, y, h, k1):
@@ -170,23 +178,28 @@ def _rk_step(rhs, t, y, h, k1):
     return y_new, err, k
 
 
-def _integrate_window(rhs, t_lo, t_hi, y, tol, store, h_start=None):
-    """Adaptively integrate one ODE window, appending dense steps to store."""
+def _dopri5(rhs, t_lo, t_hi, y, tol, on_step, h=None, max_step=np.inf):
+    """Adaptive DOPRI5 from state ``y`` at ``t_lo`` to ``t_hi``.
+
+    Calls ``on_step(t, h, y, k)`` for every accepted step from ``t`` to
+    ``t + h``, with ``y`` the state at ``t`` and ``k`` the seven stages
+    (the quartic dense output over the step is ``y + h * (k.T @ _P)``
+    applied to theta .. theta^4).  ``h`` is the first trial step (default:
+    chosen from the initial derivative).  Returns the state at ``t_hi`` and
+    the next proposed step size.
+    """
     t = t_lo
     k1 = rhs(t, y)
     if not np.all(np.isfinite(k1)):
         raise NonFiniteStateError(f"non-finite derivative at t = {t}")
-    span = t_hi - t_lo
-    if h_start is None:
+    if h is None:
+        span = t_hi - t_lo
         scale = tol * (1.0 + np.abs(y))
         d0 = np.sqrt(np.mean(np.abs(k1 / scale) ** 2))
-        h = min(span, 0.1 / max(d0, 1e-8), span and span or 1.0)
-        h = max(h, 1e-10 * span)
-    else:
-        h = min(h_start, span)
+        h = max(min(span, 0.1 / max(d0, 1e-8)), 1e-10 * span)
 
     while t < t_hi - 1e-14 * max(1.0, abs(t_hi)):
-        h = min(h, t_hi - t)
+        h = min(h, t_hi - t, max_step)
         if h < 1e-14 * max(1.0, abs(t)):
             raise ToleranceNotMetError(
                 f"step size underflow at t = {t} (h = {h:.3e}); "
@@ -197,12 +210,11 @@ def _integrate_window(rhs, t_lo, t_hi, y, tol, store, h_start=None):
         scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         err_norm = np.sqrt(np.mean(np.abs(err / scale) ** 2))
         if err_norm <= 1.0:
-            store.append((t, h, y.copy(), h * (k.T @ _P)))
+            on_step(t, h, y, k)
             t += h
             y = y_new
             k1 = k[6]  # FSAL
-            factor = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
-            h *= factor
+            h *= 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
         else:
             h *= max(0.2, 0.9 * err_norm ** -0.2)
     return y, h
@@ -226,14 +238,12 @@ def integrate(problem: DdeProblem, tol: float = 1e-10) -> HistorySolution:
 
     a, b, c, tau = problem.a, problem.b, problem.c, problem.tau
     t_end = problem.t_end
-    store: list[tuple] = []
     y = problem.x0.copy()
 
-    if t_end == 0.0 or problem.dim == 0:
-        # degenerate: single zero-width entry so queries at t=0 work
-        store.append((0.0, 1.0, y.copy(), np.zeros((problem.dim, 4), dtype=complex)))
-        starts, widths, y0s, coeffs = zip(*store)
-        return HistorySolution(starts, widths, y0s, coeffs, t_end, tau, problem.dim)
+    if t_end <= 1e-14 or problem.dim == 0:
+        # degenerate (no step fits before t_end): a single entry holding x0
+        return HistorySolution([0.0], [1.0], [y], np.zeros((1, problem.dim, 4), dtype=complex),
+                               t_end, tau, problem.dim)
 
     if problem.has_delay:
         n_windows = int(np.ceil(t_end / tau - 1e-12))
@@ -243,32 +253,33 @@ def integrate(problem: DdeProblem, tol: float = 1e-10) -> HistorySolution:
     else:
         bounds = [0.0, t_end]
 
-    partial: HistorySolution | None = None
-    h_carry = None
-    for w in range(len(bounds) - 1):
-        t_lo, t_hi = bounds[w], bounds[w + 1]
+    # per window, its step table (starts, widths, y0s, coeffs); on
+    # [n tau, (n+1) tau] the delayed term reads only the window before
+    windows: list[tuple] = []
+    h = None
+    for t_lo, t_hi in zip(bounds[:-1], bounds[1:]):
         if t_hi <= t_lo:
             continue
-        if problem.has_delay and w >= 1:
-            hist = HistorySolution(*_pack(store), t_lo, tau, problem.dim)
-
-            def rhs(t, x, _hist=hist):
-                return a @ x + b @ _hist.query(t - tau) + c
+        if problem.has_delay and windows:
+            # a stage time can pass t_hi by rounding; the lag stays within
+            # the window before, as HistorySolution.query clips to t_end
+            def rhs(t, x, _prev=windows[-1], _end=t_lo):
+                lag = np.array([min(t - tau, _end)])
+                return a @ x + b @ _dense_eval(*_prev, lag)[0] + c
         else:
             def rhs(t, x):
                 return a @ x + c
-        y, h_carry = _integrate_window(rhs, t_lo, t_hi, y, tol, store, h_carry)
+        steps = []
 
-    starts, widths, y0s, coeffs = _pack(store)
+        def keep(t, h, y, k):
+            steps.append((t, h, y, h * (k.T @ _P)))
+
+        y, h = _dopri5(rhs, t_lo, t_hi, y, tol, keep, h)
+        if steps:  # a last window narrower than the loop's end tolerance takes none
+            windows.append(tuple(np.array(col) for col in zip(*steps)))
+
+    starts, widths, y0s, coeffs = (np.concatenate(col) for col in zip(*windows))
     return HistorySolution(starts, widths, y0s, coeffs, t_end, tau, problem.dim)
-
-
-def _pack(store):
-    starts = np.array([s[0] for s in store])
-    widths = np.array([s[1] for s in store])
-    y0s = np.array([s[2] for s in store])
-    coeffs = np.array([s[3] for s in store])
-    return starts, widths, y0s, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -279,46 +290,27 @@ def solve_ode(rhs, t_span, y0, t_eval, tol=1e-8, max_step=np.inf):
     """Adaptive DOPRI5 for a plain ODE, returning the state at ``t_eval`` only.
 
     Used for the big discrete-mode systems where storing dense output for
-    every step would be wasteful.  ``t_eval`` must be increasing and inside
-    ``t_span``.
+    every step would be wasteful: the dense output of a step is formed only
+    when a time of ``t_eval`` falls in it.  ``t_eval`` must be increasing
+    and inside ``t_span``.
     """
     t0, t1 = t_span
     y = np.asarray(y0, dtype=complex).copy()
     t_eval = np.asarray(t_eval, dtype=float)
     out = np.empty((len(t_eval), y.shape[0]), dtype=complex)
-    nxt = 0
-    t = t0
-    k1 = rhs(t, y)
-    scale = tol * (1.0 + np.abs(y))
-    d0 = np.sqrt(np.mean(np.abs(k1 / scale) ** 2))
-    h = min(t1 - t0, 0.1 / max(d0, 1e-8), max_step)
+    nxt = int(np.searchsorted(t_eval, t0 + 1e-15, side="right"))
+    out[:nxt] = y
 
-    while nxt < len(t_eval) and t_eval[nxt] <= t0 + 1e-15:
-        out[nxt] = y
-        nxt += 1
+    def sample(t, h, y, k):
+        nonlocal nxt
+        stop = int(np.searchsorted(t_eval, t + h + 1e-15, side="right"))
+        if stop > nxt:
+            coeffs = h * (k.T @ _P)
+            for i in range(nxt, stop):
+                theta = (t_eval[i] - t) / h
+                out[i] = y + coeffs @ np.array([theta, theta**2, theta**3, theta**4])
+            nxt = stop
 
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        h = min(h, t1 - t, max_step)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise ToleranceNotMetError(f"step size underflow at t = {t}")
-        y_new, err, k = _rk_step(rhs, t, y, h, k1)
-        if not np.all(np.isfinite(y_new)):
-            raise NonFiniteStateError(f"non-finite state at t = {t + h}")
-        scale = tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        err_norm = np.sqrt(np.mean(np.abs(err / scale) ** 2))
-        if err_norm <= 1.0:
-            while nxt < len(t_eval) and t_eval[nxt] <= t + h + 1e-15:
-                theta = (t_eval[nxt] - t) / h
-                powers = np.array([theta, theta**2, theta**3, theta**4])
-                out[nxt] = y + (h * (k.T @ _P)) @ powers
-                nxt += 1
-            t += h
-            y = y_new
-            k1 = k[6]
-            h *= 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm ** -0.2)
-        else:
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
-    while nxt < len(t_eval):
-        out[nxt] = y
-        nxt += 1
+    y, _ = _dopri5(rhs, t0, t1, y, tol, sample, max_step=max_step)
+    out[nxt:] = y
     return out

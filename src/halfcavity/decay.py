@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dde
-from .numerics import exp_kernel, kummer_minus_exp, round_trip_series
+from .numerics import exp_kernel, kummer_minus_exp, round_trip_series, tail_corrected_integral
 from .params import SystemParams
 
 __all__ = [
@@ -70,29 +70,14 @@ class SpectralAmplitude:
             return np.abs(self.values) ** 2
         return np.asarray(self.values)
 
-    def integral(self, tail_correction: bool = True) -> float:
-        """Trapezoid integral of the density, optionally with 1/omega^2 tails.
+    def integral(self) -> float:
+        """Trapezoid integral of the density plus its 1/omega^2 tails.
 
         The tail estimate assumes the density decays like C/delta^2 beyond
-        the grid, with C taken from the outermost points (averaged over one
-        mirror-oscillation period when tau > 0).
+        the grid, with C taken from the outer 5% of the points at each edge
+        (averaged over one mirror-oscillation period when tau > 0).
         """
-        rho = self.density
-        total = float(np.trapezoid(rho, self.delta_omega))
-        if tail_correction:
-            total += _edge_tail(self.delta_omega, rho)
-        return total
-
-
-def _edge_tail(grid, rho):
-    """Estimate integral of the density outside the grid, assuming C/delta^2."""
-    span = grid[-1] - grid[0]
-    window = max(3, int(0.05 * len(grid)))
-    tail = 0.0
-    for sl, edge in ((slice(-window, None), grid[-1]), (slice(None, window), grid[0])):
-        c = float(np.mean(rho[sl] * grid[sl] ** 2))
-        tail += c / abs(edge) if abs(edge) > 0 else 0.0
-    return tail if span > 0 else 0.0
+        return tail_corrected_integral(self.delta_omega, self.density, 0.05)
 
 
 # ---------------------------------------------------------------------------

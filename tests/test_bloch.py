@@ -42,7 +42,7 @@ class TestMarkovTransient:
     def test_matrix_exponential_oracle(self):
         # affine solve: s3(t) = s_ss + e^{At}(s3(0) - s_ss)
         p = SystemParams(epsilon=0.0, tau=1.0, rabi=5.0)
-        traj = hc.markov_bloch_transient(p, 4.0, n_out=41, tol=1e-11)
+        traj = hc.markov_bloch_transient(p, 4.0, n_out=41)
         a3 = obe_generator3(p)
         ss = hc.markov_bloch_steady(p)
         s_ss = np.array([ss.s_minus, ss.s_plus, ss.sigma_z])
@@ -148,14 +148,11 @@ class TestDelayKernel:
             assert abs(sol.query(float(t))[2].real - series(float(t))) < 1e-9
 
     def test_small_rabi_limit_continuous(self):
-        p_small = SystemParams(epsilon=0.1, tau=0.5, theta_l=0.8, rabi=1e-7, detuning=0.3)
-        p_tiny = SystemParams(epsilon=0.1, tau=0.5, theta_l=0.8, rabi=1e-5, detuning=0.3)
-        f2a = hc.delay_kernel(p_small).f2
-        f2b = hc.delay_kernel(p_tiny).f2
-        assert abs(f2a - f2b) < 1e-4 * max(abs(f2b), 1e-12)
-        f3a = hc.delay_kernel(p_small).f3
-        f3b = hc.delay_kernel(p_tiny).f3
-        assert abs(f3a - f3b) < 1e-4 * max(abs(f3b), 1e-12)
+        # the kernel is a plain product of U elements: rabi -> 0 is a regular limit
+        base = dict(epsilon=0.1, tau=0.5, theta_l=0.8, detuning=0.3)
+        k_small = hc.delay_kernel(SystemParams(rabi=1e-7, **base)).k_tau
+        k_zero = hc.delay_kernel(SystemParams(rabi=0.0, **base)).k_tau
+        assert np.max(np.abs(k_small - k_zero)) < 1e-6 * np.max(np.abs(k_zero))
 
 
 class TestDelayTransient:

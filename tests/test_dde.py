@@ -40,6 +40,19 @@ class TestPlainOde:
         assert abs(sol.final_state[0] - 2.0) < 1e-9
 
 
+    def test_solve_ode_matches_integrate(self):
+        # without a delay both front ends run the same steps
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) - 2.0 * np.eye(3)
+        c = np.array([0.3, -0.2j, 0.1])
+        x0 = np.array([1.0, 0.5j, -0.25])
+        problem = dde.DdeProblem(a=a, b=np.zeros((3, 3)), c=c, tau=1.0, x0=x0, t_end=6.0)
+        t_eval = np.linspace(0.0, 6.0, 97)
+        dense = dde.integrate(problem, tol=1e-10).query(t_eval)
+        sampled = dde.solve_ode(lambda t, x: a @ x + c, (0.0, 6.0), x0, t_eval, tol=1e-10)
+        assert np.max(np.abs(dense - sampled)) < 1e-13
+
+
 class TestMethodOfSteps:
     def test_first_interval_pure_drift(self):
         # x' = b x(t-tau) with zero instantaneous term: linear ramp on [tau, 2tau]
@@ -66,6 +79,26 @@ class TestMethodOfSteps:
             sol = dde.integrate(scalar_problem(a, b, tau=tau, t_end=10 * tau), tol=1e-11)
             for t in np.linspace(0, 10 * tau, 53):
                 assert abs(sol.query(t)[0] - delay_series(t, a, b, tau)) < 1e-8
+
+    def test_many_windows_against_series(self):
+        # 400 windows: each reads only the one before, so errors must not
+        # build up through a long chain of delayed histories
+        a, b, tau = -0.5 + 0.3j, 0.4 * np.exp(0.7j), 0.05
+        sol = dde.integrate(scalar_problem(a, b, tau=tau, t_end=20.0), tol=1e-11)
+        for t in np.linspace(0, 20.0, 81):
+            assert abs(sol.query(t)[0] - delay_series(t, a, b, tau)) < 1e-10
+
+    def test_end_just_past_a_multiple_of_tau(self):
+        # 3 * 0.7 rounds to just below 2.1: the last window is too narrow
+        # for a step and must be dropped, not stored empty
+        a, b, tau = -0.5 + 0.3j, 0.4 * np.exp(0.7j), 0.7
+        assert 3 * tau < 2.1
+        sol = dde.integrate(scalar_problem(a, b, tau=tau, t_end=2.1), tol=1e-11)
+        assert abs(sol.final_state[0] - delay_series(2.1, a, b, tau)) < 1e-9
+
+    def test_end_shorter_than_any_step(self):
+        sol = dde.integrate(scalar_problem(-1.0, 0.4, x0=0.5, t_end=1e-16))
+        assert sol.final_state[0] == 0.5
 
     def test_driven_series_oracle(self):
         # inhomogeneous scalar delay equation against the kernel-series form

@@ -113,6 +113,17 @@ class TestKummerMinusExp:
             if abs(ref) > 1e-25:
                 assert abs(got - ref) <= 1e-10 * abs(ref)
 
+    @pytest.mark.skipif(not HAVE_MPMATH, reason="mpmath unavailable")
+    def test_large_order_and_argument_against_mpmath(self):
+        # |s| > n + 1 with z^n/n! far beyond double range: the finite form
+        # must not form it
+        mpmath.mp.dps = 40
+        for n, s in ((100, -800.0 + 0.0j), (700, -600.0 - 700.0j),
+                     (900, 300.0 - 1200.0j), (1000, -50.0 + 1290.0j)):
+            ref = complex(mpmath.hyp1f1(n, n + 1, s) - mpmath.e**mpmath.mpc(s))
+            got = kummer_minus_exp(n, s)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
     def test_vectorized_matches_scalar(self):
         s = np.array([-0.3 + 1j, -20.0, -5.0 - 40.0j, 0.7])
         vec = kummer_minus_exp(4, s)

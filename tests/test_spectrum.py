@@ -223,6 +223,14 @@ class TestFluxIdentity:
         assert ratios[0] < 0.01
         assert ratios[1] == pytest.approx(0.25 * ratios[0], rel=0.05)
 
+    def test_grid_starting_at_zero_adds_no_tail_below_it(self):
+        # a C/delta^2 tail beyond an edge on delta = 0 would diverge; that
+        # edge adds nothing, so a Lorentzian on [0, 40] integrates to 1/2
+        grid = np.linspace(0.0, 40.0, 4001)
+        lorentzian = 1.0 / (math.pi * (1.0 + grid**2))
+        spec = hc.SpectrumResult(grid, lorentzian, 0.25, SystemParams())
+        assert spec.total_flux() == pytest.approx(0.5 + 0.25, abs=1e-4)
+
     def test_delayed_source_improves_identity(self):
         p = SystemParams(epsilon=0.15, tau=2.0, theta_l=0.0, rabi=0.2)
         pop = hc.delay_bloch_steady(p).pop_e.real

@@ -26,6 +26,12 @@ class TestPerturbativeAmplitude:
         pop = abs(hc.perturbative_amplitude(p, 200.0)) ** 2
         assert pop == pytest.approx(0.05**2 / (1.0 + 4 * 0.3**2), rel=1e-10)
 
+    def test_finite_at_large_order(self):
+        # 1500 round trips at epsilon = 1: the series kernels reach order and
+        # argument where z^n/n! overflows
+        p = SystemParams(epsilon=1.0, tau=0.2, rabi=0.05, detuning=-4.0)
+        assert np.isfinite(hc.perturbative_amplitude(p, 300.0))
+
     def test_staircase_monotone_at_node(self):
         p = params(th=0.0)
         plateau = [abs(hc.perturbative_amplitude(p, (n + 0.98) * 20.0)) ** 2
