@@ -141,11 +141,6 @@ def obe_generator4(p: SystemParams) -> np.ndarray:
     ], dtype=complex)
 
 
-def _vec3_to4(s3: np.ndarray) -> np.ndarray:
-    """(s-, s+, s_z) -> (s-, s+, pop_e, pop_g)."""
-    return np.array([s3[0], s3[1], 0.5 * (1.0 + s3[2]), 0.5 * (1.0 - s3[2])], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Markov limit
 # ---------------------------------------------------------------------------
@@ -183,8 +178,9 @@ def markov_bloch_transient(p: SystemParams, t_end: float, n_out: int = 400) -> B
     gen[2, 3] = -gt
     x0 = np.array([0.0, 0.0, -1.0, 1.0], dtype=complex)
     times = np.linspace(0.0, t_end, n_out)
-    states = np.array([_vec3_to4(matrix_exponential(gen, t) @ x0) for t in times])
-    return BlochTrajectory(times, states)
+    s = matrix_exponential(gen * times[:, None, None]) @ x0   # rows (s-, s+, s_z, 1)
+    return BlochTrajectory(times, np.column_stack(
+        [s[:, 0], s[:, 1], 0.5 * (1.0 + s[:, 2]), 0.5 * (1.0 - s[:, 2])]))
 
 
 def epsilon_expansion_population(p: SystemParams) -> float:
@@ -256,18 +252,19 @@ def delay_kernel(p: SystemParams) -> DelayKernel:
 
 
 def delay_bloch_transient(p: SystemParams, t_end: float, n_out: int = 400,
-                          tol: float = 1e-10) -> BlochTrajectory:
+                          tol: float = 1e-10, times=None) -> BlochTrajectory:
     """Ground-state transient of the delayed Bloch system.
 
     Identical to free space until the first round trip completes; valid to
-    first order in epsilon.
+    first order in epsilon.  Sampled at ``times`` (within [0, t_end]),
+    by default at ``linspace(0, t_end, n_out)``.
     """
     kern = delay_kernel(p)
     problem = dde.DdeProblem(
         a=obe_generator4(p), b=p.epsilon * kern.k_tau, c=np.zeros(4),
         tau=p.tau if p.tau > 0 else 1.0, x0=GROUND_STATE4, t_end=t_end)
     sol = dde.integrate(problem, tol=tol)
-    times = np.linspace(0.0, t_end, n_out)
+    times = np.linspace(0.0, t_end, n_out) if times is None else np.asarray(times, dtype=float)
     return BlochTrajectory(times, sol.query(times))
 
 

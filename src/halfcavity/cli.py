@@ -314,13 +314,9 @@ def _run_bloch_steady_sweep(cfg):
 def _run_bloch_transient(cfg):
     p = cfg.params
     ts = cfg.grids["time"]
-    traj = bloch.delay_bloch_transient(p, float(ts[-1]), n_out=len(ts), tol=cfg.tol)
-    # the trajectory samples uniformly; re-query on the requested grid
-    idx = np.searchsorted(traj.times, ts)
-    idx = np.clip(idx, 0, len(traj.times) - 1)
+    traj = bloch.delay_bloch_transient(p, float(ts[-1]), tol=cfg.tol, times=ts)
     return ["time", "pop_e", "re_s_minus", "im_s_minus"], np.column_stack([
-        traj.times[idx], traj.pop_e[idx],
-        traj.s_minus[idx].real, traj.s_minus[idx].imag])
+        traj.times, traj.pop_e, traj.s_minus.real, traj.s_minus.imag])
 
 
 def _run_emission_spectrum(cfg):

@@ -6,7 +6,9 @@ that every delay-series solution sums, with its kernels
 exponential for the small (3x3 / 4x4) generators, window convolutions of
 two matrix exponentials, linear solves with a condition guard, the
 null eigenvector used for steady states, and the integral of a spectral
-density with C/delta^2 tails beyond its grid.  All functions are pure.
+density with C/delta^2 tails beyond its grid.  The matrix exponential,
+the window convolution and the guarded solve also take stacks of shape
+``(..., d, d)``, each matrix treated as if alone.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -199,22 +201,23 @@ _THETA13 = 5.371920351148152
 
 
 def matrix_exponential(a: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(a*t) for a small dense complex matrix.
+    """exp(a*t) for a small dense complex matrix or a stack of them.
 
     Scaling-and-squaring with a fixed degree-13 Pade approximant; built for
     robustness on the <= 8x8 generators used here rather than for speed on
-    large problems.
+    large problems.  In a stack ``(..., d, d)`` each matrix gets the
+    squaring count of its own 1-norm, so it comes out exactly as alone.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)) or not math.isfinite(t):
         raise ValueError("non-finite input to matrix_exponential")
-    m = a * t
-    dim = m.shape[0]
-    norm = np.linalg.norm(m, 1)
-    squarings = max(0, int(math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0)
-    m = m / (2.0 ** squarings)
+    dim = a.shape[-1]
+    m = (a * t).reshape(-1, dim, dim)
+    norm = np.linalg.norm(m, 1, axis=(-2, -1))
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    m = m / (2.0 ** squarings)[:, None, None]
 
     b = _PADE13
     ident = np.eye(dim, dtype=complex)
@@ -226,9 +229,10 @@ def matrix_exponential(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     v = (m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2)
          + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident)
     out = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    for k in range(squarings.max(initial=0)):
+        sel = slice(None) if k < squarings.min() else squarings > k
+        out[sel] = out[sel] @ out[sel]
+    return out.reshape(a.shape)
 
 
 def expm_convolution(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> np.ndarray:
@@ -236,17 +240,17 @@ def expm_convolution(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> n
 
     Evaluated exactly through the exponential of the block matrix
     ``[[a, b], [0, c]]`` (the upper-right block of its exponential is the
-    integral).  ``a`` is na x na, ``c`` is nc x nc, ``b`` is na x nc.
+    integral).  ``a`` is na x na, ``c`` is nc x nc, ``b`` is na x nc; each
+    may carry leading stack dimensions, which broadcast.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    na, nc = a.shape[0], c.shape[0]
-    blk = np.zeros((na + nc, na + nc), dtype=complex)
-    blk[:na, :na] = a
-    blk[:na, na:] = b
-    blk[na:, na:] = c
-    return matrix_exponential(blk, t)[:na, na:]
+    a, b, c = (np.asarray(x, dtype=complex) for x in (a, b, c))
+    na, nc = a.shape[-1], c.shape[-1]
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2], c.shape[:-2])
+    blk = np.zeros(stack + (na + nc, na + nc), dtype=complex)
+    blk[..., :na, :na] = a
+    blk[..., :na, na:] = b
+    blk[..., na:, na:] = c
+    return matrix_exponential(blk, t)[..., :na, na:]
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +260,26 @@ def expm_convolution(a: np.ndarray, b: np.ndarray, c: np.ndarray, t: float) -> n
 def solve_linear(m: np.ndarray, rhs: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
     """Solve ``m @ x = rhs`` with a condition-number guard.
 
+    ``m`` is a matrix or a stack ``(..., d, d)``; ``rhs`` holds a vector
+    (``m.ndim - 1`` dimensions) or a matrix (``m.ndim``) per matrix.
+
     Raises
     ------
     SingularMatrixError
-        If the 2-norm condition estimate exceeds ``cond_limit``.
+        If the worst 2-norm condition estimate in the stack exceeds
+        ``cond_limit``.
     """
     m = np.asarray(m, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     sv = np.linalg.svd(m, compute_uv=False)
-    cond = math.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+    smax, smin = sv[..., 0], sv[..., -1]
+    cond = math.inf if np.any(smin == 0.0) else float(np.max(smax / smin, initial=0.0))
     if not math.isfinite(cond) or cond > cond_limit:
         raise SingularMatrixError(
             f"matrix numerically singular (condition estimate {cond:.3e} "
             f"exceeds {cond_limit:.1e})")
+    if rhs.ndim == m.ndim - 1:
+        return np.linalg.solve(m, rhs[..., None])[..., 0]
     return np.linalg.solve(m, rhs)
 
 
@@ -289,12 +300,12 @@ def null_eigenvector(m: np.ndarray, separation: float = 10.0) -> np.ndarray:
     eigvals = np.linalg.eigvals(m)
     order = np.argsort(np.abs(eigvals))
     lam0, lam1 = eigvals[order[0]], eigvals[order[1]]
-    scale = np.linalg.norm(m, 2)
-    if abs(lam1) < separation * max(abs(lam0), 1e-14 * scale):
+    _, sv, vh = np.linalg.svd(m)
+    # sv[0] is the 2-norm of m
+    if abs(lam1) < separation * max(abs(lam0), 1e-14 * sv[0]):
         raise DegenerateKernelError(
             f"smallest eigenvalue not isolated: |lam0|={abs(lam0):.3e}, "
             f"|lam1|={abs(lam1):.3e}, required ratio {separation}")
-    _, _, vh = np.linalg.svd(m)
     return vh[-1].conj()
 
 

@@ -27,10 +27,11 @@ its integral against the free propagators,
 with G(u) built from the free two-time atomic correlations
 exp(A4 u) acting on the steady pinned vectors.  These integrals are
 evaluated in closed form through eigendecompositions (with a block
-matrix-exponential fallback), so the whole spectrum costs one small
-linear solve per frequency.  At tau -> 0 the delayed source vanishes and
-the system reduces exactly to the Markov-limit (renormalised Mollow)
-spectrum; at epsilon = 0 it is the bare Mollow spectrum.
+matrix-exponential fallback where an eigenbasis is ill-conditioned), so
+the whole spectrum costs one stacked solve of small systems, one per
+frequency.  At tau -> 0 the delayed source vanishes and the system
+reduces exactly to the Markov-limit (renormalised Mollow) spectrum; at
+epsilon = 0 it is the bare Mollow spectrum.
 
 The flux identity int S dnu = steady excited population (coherent weight
 included) holds to first order in epsilon and is exposed as a check.
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -94,11 +96,12 @@ class SpectrumKernel:
     i1_at_line: np.ndarray    # delayed source evaluated at the laser line
     u3_tau: np.ndarray        # exp(a3 * tau)
     steady: np.ndarray        # (s-, s+, pop_e, pop_g) used throughout
-    _i1_pieces: tuple         # opaque data for the per-frequency delayed source
+    _source: Callable | None  # detunings -> I1; None where I1 vanishes
 
     def delayed_source(self, nu) -> np.ndarray:
         """I1 evaluated on an array of detunings; shape (n, 3)."""
-        return _i1_eval(self._i1_pieces, np.atleast_1d(np.asarray(nu, dtype=float)))
+        nus = np.atleast_1d(np.asarray(nu, dtype=float))
+        return self._source(nus) if self._source else np.zeros((len(nus), 3), dtype=complex)
 
 
 def build_kernel(p: SystemParams) -> SpectrumKernel:
@@ -110,7 +113,7 @@ def build_kernel(p: SystemParams) -> SpectrumKernel:
     """
     if p.rabi <= 0.0:
         raise ValueError("spectrum machinery needs rabi > 0 (no fluorescence without drive)")
-    g, w, tau = p.gamma, p.rabi, p.tau
+    g, tau = p.gamma, p.tau
     ss = delay_bloch_steady(p)
     m, pp = ss.s_minus, ss.s_plus
     ne = ss.pop_e.real
@@ -138,30 +141,19 @@ def build_kernel(p: SystemParams) -> SpectrumKernel:
 
     i0 = np.array([-m * m, ne - pp * m, -2.0 * ne * m], dtype=complex)
 
-    # window-convolution data for the delayed source.  The equal-time
-    # collapse of (d sigma_q * d sigma_-) gives the same coefficient matrix
-    # for both pinned sides; only the pinned vectors and constants differ.
-    lam = np.array([
-        [-2.0 * m, 0.0, 0.0, 0.0],
-        [-pp, -m, 1.0, 0.0],
-        [-(1.0 + z), 0.0, -2.0 * m, 0.0],
-    ], dtype=complex)
-    c_r = np.array([m**3, pp * m * m, (1.0 + z) * m * m], dtype=complex)
-    c_l = np.array([m * m * pp, pp * pp * m, (1.0 + z) * m * pp], dtype=complex)
-    v_minus = np.array([0.0, ne, 0.0, m], dtype=complex)
-    v_plus = np.array([ne, 0.0, 0.0, pp], dtype=complex)
-
-    pieces = _prepare_i1(p, a3, a4, u3, lam, c_r, c_l, v_minus, v_plus,
-                         m, pp, z, e_plus, e_minus)
-    i1_line = _i1_eval(pieces, np.array([0.0]))[0] if tau > 0 else np.zeros(3, dtype=complex)
+    source = _delayed_source(p, a3, a4, u3, m, pp, z, ne, e_plus, e_minus)
+    i1_line = source(np.zeros(1))[0] if source else np.zeros(3, dtype=complex)
 
     return SpectrumKernel(a3, k_tilde, i0, g_vec, i1_line, u3,
-                          ss.as_array(), pieces)
+                          ss.as_array(), source)
 
 
 # ---------------------------------------------------------------------------
 # delayed source: closed-form window convolutions
 # ---------------------------------------------------------------------------
+
+_EIG_COND_LIMIT = 1e8  # eigenbasis condition above which block exponentials take over
+
 
 def _phi(a, b, tau):
     """int_0^tau e^{a(tau-u)} e^{b u} du, stable near a = b (array in a)."""
@@ -180,49 +172,63 @@ def _phi1(x):
     return out
 
 
-def _prepare_i1(p, a3, a4, u3, lam, c_r, c_l, v_minus, v_plus, m, pp, z,
-                e_plus, e_minus):
-    """Precompute eigendecompositions for the per-frequency delayed source."""
+def _delayed_source(p, a3, a4, u3, m, pp, z, ne, e_plus, e_minus):
+    """I1 as a function of an array of detunings; None where it vanishes.
+
+    The window integrals take one of two routes, chosen here once:
+    eigendecompositions when both eigenbases are well conditioned, block
+    exponentials otherwise.  Only the second works where A3 and A4 are
+    defective (the Mollow point rabi = gamma/4).
+    """
     if p.tau == 0.0 or p.epsilon == 0.0:
-        return ("zero", 3)
+        return None
+    # The equal-time collapse of (d sigma_q * d sigma_-) gives the same
+    # coefficient matrix for both pinned sides; only the pinned vectors and
+    # constants differ.
+    lam = np.array([
+        [-2.0 * m, 0.0, 0.0, 0.0],
+        [-pp, -m, 1.0, 0.0],
+        [-(1.0 + z), 0.0, -2.0 * m, 0.0],
+    ], dtype=complex)
+    c_r = np.array([m**3, pp * m * m, (1.0 + z) * m * m], dtype=complex)
+    c_l = np.array([m * m * pp, pp * pp * m, (1.0 + z) * m * pp], dtype=complex)
+    v_minus = np.array([0.0, ne, 0.0, m], dtype=complex)
+    v_plus = np.array([ne, 0.0, 0.0, pp], dtype=complex)
+    args = (a3, a4, lam, c_r, c_l, v_minus, v_plus, p.tau)
+    windows = _eig_windows(*args) or _vanloan_windows(*args, u3)
+    g, tau = p.gamma, p.tau
+
+    def source(nus):
+        w_r, w_l, row = windows(nus)
+        phi0 = tau * _phi1(-1j * nus * tau)                  # int e^{-i nu (tau-u)} du
+        v_min_int = row @ v_minus - (m * m) * phi0
+        v_plus_int = row @ v_plus - (pp * m) * phi0
+        return np.stack([
+            -0.5 * g * e_plus * (w_r[..., 2] + z * v_min_int),
+            -0.5 * g * e_minus * (w_l[..., 2] + z * v_plus_int),
+            g * e_minus * (w_l[..., 0] + m * v_plus_int)
+            + g * e_plus * (w_r[..., 1] + pp * v_min_int),
+        ], axis=-1)
+    return source
+
+
+def _eig_windows(a3, a4, lam, c_r, c_l, v_minus, v_plus, tau):
+    """Window integrals through eigendecompositions; None if ill-conditioned.
+
+    The returned function maps n detunings to ``(w_r, w_l, row)``: the two
+    pinned-side convolutions (n x 3) and the scalar-channel row (n x 4).
+    """
     try:
         w3, r3 = np.linalg.eig(a3)
         w4, r4 = np.linalg.eig(a4)
-        cond3 = np.linalg.cond(r3)
-        cond4 = np.linalg.cond(r4)
-        if cond3 > 1e8 or cond4 > 1e8:
-            raise np.linalg.LinAlgError("ill-conditioned eigenbasis")
-        r3i = np.linalg.inv(r3)
-        r4i = np.linalg.inv(r4)
-        lam_mid = r3i @ lam @ r4
-        data = ("eig", p, w3, r3, r3i, w4, r4, r4i, lam_mid, c_r, c_l,
-                v_minus, v_plus, m, pp, z, e_plus, e_minus)
+        if max(np.linalg.cond(r3), np.linalg.cond(r4)) > _EIG_COND_LIMIT:
+            return None
+        r3i, r4i = np.linalg.inv(r3), np.linalg.inv(r4)
     except np.linalg.LinAlgError:
-        data = ("vanloan", p, a3, a4, lam, c_r, c_l, v_minus, v_plus,
-                m, pp, z, e_plus, e_minus)
-    return data
+        return None
+    lam_mid = r3i @ lam @ r4
 
-
-def _assemble_i1(p, w_r, w_l, v_min_int, v_plus_int, m, pp, z, e_plus, e_minus):
-    """Combine the three window convolutions into the source vector rows."""
-    g = p.gamma
-    return np.stack([
-        -0.5 * g * e_plus * (w_r[..., 2] + z * v_min_int),
-        -0.5 * g * e_minus * (w_l[..., 2] + z * v_plus_int),
-        g * e_minus * (w_l[..., 0] + m * v_plus_int)
-        + g * e_plus * (w_r[..., 1] + pp * v_min_int),
-    ], axis=-1)
-
-
-def _i1_eval(pieces, nus: np.ndarray) -> np.ndarray:
-    """Delayed source I1 on an array of detunings; shape (n, 3)."""
-    kind = pieces[0]
-    if kind == "zero":
-        return np.zeros((len(nus), pieces[1]), dtype=complex)
-    if kind == "eig":
-        (_, p, w3, r3, r3i, w4, r4, r4i, lam_mid, c_r, c_l,
-         v_minus, v_plus, m, pp, z, e_plus, e_minus) = pieces
-        tau = p.tau
+    def windows(nus):
         a = w3[None, :, None] - 1j * nus[:, None, None]      # n x 3 x 1
         b = w4[None, None, :]                                # 1 x 1 x 4
         phi = _phi(a, b, tau)                                # n x 3 x 4
@@ -234,40 +240,33 @@ def _i1_eval(pieces, nus: np.ndarray) -> np.ndarray:
         ec_diag = _phi(w3[None, :] - 1j * nus[:, None], 0.0, tau)   # n x 3
         ec_r = np.einsum("ij,nj,j->ni", r3, ec_diag, r3i @ c_r)
         ec_l = np.einsum("ij,nj,j->ni", r3, ec_diag, r3i @ c_l)
-        w_r = w_r + ec_r
-        w_l = w_l + ec_l
         # scalar channel: int e^{-i nu (tau-u)} <first component of e^{A4 u} v> du
         head4 = r4[0, :]                                     # e1^T r4
         phi4 = _phi(-1j * nus[:, None], w4[None, :], tau)    # n x 4
         row = (head4[None, :] * phi4) @ r4i                  # n x 4
-        phi0 = tau * _phi1(-1j * nus * tau)                  # int e^{-i nu (tau-u)} du
-        v_min_int = row @ v_minus - (m * m) * phi0
-        v_plus_int = row @ v_plus - (pp * m) * phi0
-        return _assemble_i1(p, w_r, w_l, v_min_int, v_plus_int, m, pp, z,
-                            e_plus, e_minus)
-    # van Loan fallback: one block exponential per frequency
-    (_, p, a3, a4, lam, c_r, c_l, v_minus, v_plus,
-     m, pp, z, e_plus, e_minus) = pieces
-    tau = p.tau
-    out = np.empty((len(nus), 3), dtype=complex)
+        return w_r + ec_r, w_l + ec_l, row
+    return windows
+
+
+def _vanloan_windows(a3, a4, lam, c_r, c_l, v_minus, v_plus, tau, u3):
+    """Window integrals through block exponentials (Van Loan 1978).
+
+    Same contract as :func:`_eig_windows`, with ``u3 = exp(a3 tau)``: one
+    stacked block exponential and one stacked solve over the detunings.
+    """
     ident3 = np.eye(3, dtype=complex)
-    for i, nu in enumerate(nus):
-        top = np.zeros((4, 4), dtype=complex)
-        top[:3, :3] = a3 - 1j * nu * ident3
-        top[3, 3] = -1j * nu
-        b_blk = np.vstack([lam, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)])
-        blk = expm_convolution(top, b_blk, a4, tau)          # 4 x 4
-        vl, row = blk[:3, :], blk[3, :]
-        ec = solve_linear(top[:3, :3],
-                          (np.exp(-1j * nu * tau) * matrix_exponential(a3, tau) - ident3))
-        w_r = vl @ v_minus + ec @ c_r
-        w_l = vl @ v_plus + ec @ c_l
-        phi0 = tau * _phi1(np.array([-1j * nu * tau]))[0]
-        v_min_int = row @ v_minus - (m * m) * phi0
-        v_plus_int = row @ v_plus - (pp * m) * phi0
-        out[i] = _assemble_i1(p, w_r, w_l, v_min_int, v_plus_int, m, pp, z,
-                              e_plus, e_minus)
-    return out
+    b_blk = np.vstack([lam, np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)])
+
+    def windows(nus):
+        top = np.zeros((len(nus), 4, 4), dtype=complex)
+        top[:, :3, :3] = a3 - 1j * nus[:, None, None] * ident3
+        top[:, 3, 3] = -1j * nus
+        blk = expm_convolution(top, b_blk, a4, tau)          # n x 4 x 4
+        vl, row = blk[:, :3, :], blk[:, 3, :]
+        ec = solve_linear(top[:, :3, :3],
+                          np.exp(-1j * nus * tau)[:, None, None] * u3 - ident3)
+        return vl @ v_minus + ec @ c_r, vl @ v_plus + ec @ c_l, row
+    return windows
 
 
 # ---------------------------------------------------------------------------
@@ -293,30 +292,24 @@ def incoherent_spectrum(p: SystemParams, delta_grid=None,
                         include_delayed_source: bool = True) -> SpectrumResult:
     """Incoherent emission spectral density in the free channel.
 
-    Solves the stationary fluctuation system per grid point and reads the
-    density off the <d sigma_+ d b> component.  ``include_delayed_source``
-    drops the I1 term when False (the kernel term remains), which
-    quantifies its contribution.  Clips numerically negative densities
-    above -1e-9 of the peak; larger negatives raise, since they signal an
-    inconsistent kernel.
+    Solves the stationary fluctuation system at every grid point in one
+    stacked solve and reads the density off the <d sigma_+ d b> component.
+    ``include_delayed_source`` drops the I1 term when False (the kernel term
+    remains), which quantifies its contribution.  Clips numerically negative
+    densities above -1e-9 of the peak; larger negatives raise, since they
+    signal an inconsistent kernel.
     """
     kern = build_kernel(p)
     grid = default_spectrum_grid(p) if delta_grid is None else np.asarray(delta_grid, float)
     eps, tau = p.epsilon, p.tau
 
-    if eps > 0.0 and include_delayed_source and tau > 0.0:
-        i1 = kern.delayed_source(grid)
-    else:
-        i1 = np.zeros((len(grid), 3), dtype=complex)
-
-    ident = np.eye(3, dtype=complex)
-    dens = np.empty(len(grid))
-    for i, nu in enumerate(grid):
-        m_nu = -1j * nu * ident + kern.a3
-        if eps > 0.0:
-            m_nu = m_nu + eps * np.exp(-1j * nu * tau) * kern.k_tilde
-        rhs = -(kern.i0_ss + eps * i1[i])
-        dens[i] = (solve_linear(m_nu, rhs)[1]).real / math.pi
+    i1 = (kern.delayed_source(grid) if include_delayed_source
+          else np.zeros((len(grid), 3), dtype=complex))
+    m_nu = -1j * grid[:, None, None] * np.eye(3, dtype=complex) + kern.a3
+    if eps > 0.0:
+        m_nu = m_nu + eps * np.exp(-1j * grid * tau)[:, None, None] * kern.k_tilde
+    rhs = -(kern.i0_ss + eps * i1)
+    dens = solve_linear(m_nu, rhs)[:, 1].real / math.pi
 
     dens = _checked_nonnegative(dens, eps, p.rabi, p.gamma)
 

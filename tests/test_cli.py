@@ -210,6 +210,23 @@ points = 7
         assert row[names.index("population_staircase")] != pytest.approx(
             abs(weakdrive.rabi_staircase(p, 2)) ** 2, rel=1e-6)
 
+    def test_bloch_transient_rows_at_requested_times(self, tmp_path):
+        # a window that does not start at 0: rows must not snap onto
+        # linspace(0, 10, 3) = 0, 5, 10
+        out = tmp_path / "transient.csv"
+        cfg = write_config(tmp_path, BASE.format(
+            mode="bloch-transient", out=out, extra_params="rabi = 1.0\n",
+            grids="[grid.time]\nstart = 5\nstop = 10\npoints = 3\n"))
+        assert run_main(["--config", cfg]) == 0
+        names, data = read_table(out)
+        assert data[:, 0].tolist() == [5.0, 7.5, 10.0]
+        import halfcavity as hc
+        from halfcavity.params import SystemParams
+        p = SystemParams(epsilon=0.4, tau=0.4, theta0=0.0, rabi=1.0)
+        # linspace(0, 10, 5) holds the requested times as its last three points
+        expect = hc.delay_bloch_transient(p, 10.0, n_out=5).pop_e[2:]
+        assert np.allclose(data[:, names.index("pop_e")], expect, rtol=1e-12, atol=0.0)
+
     def test_emission_spectrum_metadata_carries_coherent_weight(self, tmp_path):
         out = tmp_path / "spec.csv"
         cfg = write_config(tmp_path, BASE.format(

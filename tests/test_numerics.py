@@ -261,6 +261,25 @@ class TestMatrixExponential:
                             [t], tol=1e-12)[0].reshape(4, 4)
         assert np.max(np.abs(out - expm)) < 1e-9
 
+    def test_stack_equals_per_matrix_loop(self):
+        # stable generators with norms from 1e-3 to 1e2: squaring counts
+        # from 0 (no squaring) to 8
+        rng = np.random.default_rng(11)
+        scales = np.logspace(-3, 2, 12)[:, None, None]
+        noise = rng.normal(size=(12, 4, 4)) + 1j * rng.normal(size=(12, 4, 4))
+        stack = (noise - 6.0 * np.eye(4)) * scales
+        t = 0.7
+        norms = np.linalg.norm(stack * t, 1, axis=(-2, -1))
+        assert np.any(norms < 5.371920351148152) and np.ptp(np.log2(norms)) > 8
+        loop = np.array([matrix_exponential(a, t) for a in stack])
+        assert np.max(np.abs(matrix_exponential(stack, t) - loop)) == 0.0
+        nested = matrix_exponential(stack.reshape(3, 4, 4, 4), t).reshape(12, 4, 4)
+        assert np.max(np.abs(nested - loop)) == 0.0
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            matrix_exponential(np.zeros((2, 3, 4)))
+
 
 def test_expm_convolution_against_quadrature():
     rng = np.random.default_rng(5)
@@ -276,6 +295,18 @@ def test_expm_convolution_against_quadrature():
         ref += wi * (matrix_exponential(a, tau - ui) @ b @ matrix_exponential(c, ui))
     ref *= 0.5 * tau
     assert np.max(np.abs(got - ref)) < 1e-9
+
+
+def test_expm_convolution_stack_equals_per_matrix_loop():
+    rng = np.random.default_rng(6)
+    scales = np.logspace(-2, 2, 8)[:, None, None]
+    a = (rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))) * scales
+    b = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    got = expm_convolution(a, b, c, 0.9)
+    loop = np.array([expm_convolution(ai, b, c, 0.9) for ai in a])
+    assert got.shape == (8, 4, 3)
+    assert np.max(np.abs(got - loop)) == 0.0
 
 
 class TestSolveLinear:
@@ -299,6 +330,25 @@ class TestSolveLinear:
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         with pytest.raises(SingularMatrixError):
             solve_linear(m, np.ones(2))
+
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3)) + 3 * np.eye(3)
+        vec = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        mat = rng.normal(size=(7, 3, 2)) + 1j * rng.normal(size=(7, 3, 2))
+        got_vec = solve_linear(m, vec)
+        got_mat = solve_linear(m, mat)
+        assert got_vec.shape == (7, 3) and got_mat.shape == (7, 3, 2)
+        assert np.max(np.abs(got_vec - [solve_linear(mi, vi) for mi, vi in zip(m, vec)])) == 0.0
+        assert np.max(np.abs(got_mat - [solve_linear(mi, bi) for mi, bi in zip(m, mat)])) == 0.0
+
+    def test_one_singular_member_rejects_the_stack(self):
+        m = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-15]], 2 * np.eye(2)])
+        with pytest.raises(SingularMatrixError):
+            solve_linear(m, np.ones((3, 2)))
+        m[1] = 0.0
+        with pytest.raises(SingularMatrixError):
+            solve_linear(m, np.ones((3, 2)))
 
 
 class TestNullEigenvector:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import halfcavity as hc
+from halfcavity import spectrum
 from halfcavity.params import SystemParams
 
 from conftest import lorentzian_fit, mollow_closed_form
@@ -51,24 +52,43 @@ class TestKernelStructure:
         assert np.all(hc.build_kernel(p0).delayed_source(np.array([0.5])) == 0.0)
         assert np.all(hc.build_kernel(p0).i1_at_line == 0.0)
 
-    def test_delayed_source_eig_matches_vanloan(self):
-        from halfcavity.spectrum import _i1_eval, build_kernel
+    def test_delayed_source_eig_matches_vanloan(self, monkeypatch):
         p = SystemParams(epsilon=0.15, tau=1.3, theta_l=0.9, rabi=2.0, detuning=0.3)
-        kern = build_kernel(p)
-        pieces = kern._i1_pieces
-        assert pieces[0] == "eig"
-        # rebuild the fallback pieces from the eig data
-        (_, p_, w3, r3, r3i, w4, r4, r4i, lam_mid, c_r, c_l,
-         v_minus, v_plus, m, pp, z, e_plus, e_minus) = pieces
-        lam = r3 @ lam_mid @ r4i
-        a3 = r3 @ np.diag(w3) @ r3i
-        a4 = r4 @ np.diag(w4) @ r4i
-        fallback = ("vanloan", p_, a3, a4, lam, c_r, c_l, v_minus, v_plus,
-                    m, pp, z, e_plus, e_minus)
         nus = np.array([-7.3, -0.2, 0.0, 1.7, 24.0])
-        a = _i1_eval(pieces, nus)
-        b = _i1_eval(fallback, nus)
+        block_calls = _count_block_exponentials(monkeypatch)
+        a = hc.build_kernel(p).delayed_source(nus)
+        assert block_calls == []
+        # no eigenbasis passes a zero condition limit: force the block route
+        monkeypatch.setattr(spectrum, "_EIG_COND_LIMIT", 0.0)
+        b = hc.build_kernel(p).delayed_source(nus)
+        assert block_calls
         assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(a)))
+
+    def test_defective_point_continuous_with_eig_route(self, monkeypatch):
+        # rabi = gamma/4 makes A3 and A4 defective; just beside it the
+        # eigenbases are well conditioned again
+        grid = np.linspace(-3.0, 3.0, 241)
+        block_calls = _count_block_exponentials(monkeypatch)
+        near = hc.incoherent_spectrum(
+            SystemParams(epsilon=0.2, tau=1.0, theta_l=0.7, rabi=0.25 * (1 + 1e-6)), grid)
+        assert block_calls == []
+        at = hc.incoherent_spectrum(
+            SystemParams(epsilon=0.2, tau=1.0, theta_l=0.7, rabi=0.25), grid)
+        assert block_calls
+        peak = np.max(near.incoherent)
+        assert np.max(np.abs(at.incoherent - near.incoherent)) < 1e-5 * peak
+
+
+def _count_block_exponentials(monkeypatch):
+    """Record each block exponential the delayed source takes (van Loan route)."""
+    calls = []
+    original = spectrum.expm_convolution
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+    monkeypatch.setattr(spectrum, "expm_convolution", counted)
+    return calls
 
 
 def _s3(kern):
