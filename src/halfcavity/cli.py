@@ -343,6 +343,9 @@ def _run_flux_check(cfg):
         np.array([[spec.coherent_weight, inc, total, pop, rel]])
 
 
+# rows formatted per write in run()
+_WRITE_ROWS = 4096
+
 _RUNNERS = {
     "decay-population": _run_decay_population,
     "decay-field": _run_decay_field,
@@ -378,10 +381,14 @@ def run(cfg: ScenarioConfig) -> dict:
     }
     lines = [f"# {k} = {json.dumps(v, sort_keys=True)}" for k, v in meta.items()]
     lines.append(",".join(header))
-    for row in table:
-        lines.append(",".join(f"{v:.12e}" for v in row))
+    # one %-format per block of rows: formatting value by value costs several
+    # times more on large tables, and the blocks bound the memory it holds
+    row = ",".join(["%.12e"] * table.shape[1]) + "\n"
     with open(cfg.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        for i in range(0, len(table), _WRITE_ROWS):
+            block = table[i:i + _WRITE_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
     with open(cfg.out + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -8,11 +8,16 @@ two matrix exponentials, linear solves with a condition guard, the
 null eigenvector used for steady states, and the integral of a spectral
 density with C/delta^2 tails beyond its grid.  The matrix exponential,
 the window convolution and the guarded solve also take stacks of shape
-``(..., d, d)``, each matrix treated as if alone.  All functions are pure.
+``(..., d, d)``, each matrix treated as if alone.  ``kummer_minus_exp``
+evaluates a 0-d argument in plain Python ``complex`` arithmetic: the scalar
+series make thousands of calls, and a 0-d array costs more in numpy's
+per-call overhead and per-iteration reductions than the arithmetic itself.
+All functions are pure.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -87,6 +92,14 @@ def kummer_minus_exp(n: int, s):
     Both branches avoid the catastrophic cancellation of the raw
     hypergeometric series for arguments with a large modulus.
 
+    A 0-d ``s`` runs the same three cases (n = 0, tail series, finite form)
+    in Python ``complex`` arithmetic, which is what the scalar round-trip
+    series call: through numpy, a 0-d array pays array overhead on every
+    operation and an ``np.all`` reduction on every iteration of the tail
+    series, an order of magnitude more than the arithmetic costs.  The two
+    paths agree to rounding (numpy and CPython round complex products
+    differently).
+
     Parameters
     ----------
     n : int
@@ -97,20 +110,24 @@ def kummer_minus_exp(n: int, s):
     Returns
     -------
     complex or ndarray
-        Finite for every finite ``s``; scalar in, scalar out.
+        Finite for every finite ``s`` whose result is in range; scalar in,
+        scalar out.  Out of range (``Re s`` beyond about 709) a scalar
+        raises ``OverflowError`` where an array holds inf or nan.
     """
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a non-negative integer, got {n}")
     n = int(n)
+    if isinstance(s, (int, float, complex)) or getattr(s, "ndim", None) == 0:
+        s = complex(s)
+        if not cmath.isfinite(s):
+            raise ValueError("non-finite argument to kummer_minus_exp")
+        return _kummer_scalar(n, s)
     s_arr = np.asarray(s, dtype=complex)
     if not np.all(np.isfinite(s_arr)):
         raise ValueError("non-finite argument to kummer_minus_exp")
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
 
     if n == 0:
-        out = -cexpm1(s_arr)
-        return out[0] if scalar else out
+        return -cexpm1(s_arr)
 
     z = -s_arr
     out = np.empty_like(z)
@@ -142,7 +159,33 @@ def kummer_minus_exp(n: int, s):
             total += term
         out[~small] = term - np.exp(-zl) * total
 
-    return out[0] if scalar else out
+    return out
+
+
+def _kummer_scalar(n: int, s: complex) -> complex:
+    """:func:`kummer_minus_exp` for one finite ``s``, in Python arithmetic."""
+    if n == 0:
+        x, y = s.real, s.imag
+        # -cexpm1(s), stable near s = 0
+        return -complex(math.expm1(x) * math.cos(y) - 2.0 * math.sin(0.5 * y) ** 2,
+                        math.exp(x) * math.sin(y))
+    z = -s
+    if abs(z) <= n + 1.0:
+        total, term, k = 0j, 1 + 0j, 1
+        while True:
+            term = term * z / (n + k)
+            total += term
+            if k >= 3 and abs(term) <= 1e-18 * max(abs(total), 1e-300):
+                break
+            k += 1
+            if k > 100_000:  # unreachable for |z| <= n+1; defensive
+                break
+        return cmath.exp(s) * total
+    total = term = 1 + 0j
+    for j in range(1, n + 1):
+        term = term * ((n - j + 1) / z)
+        total += term
+    return term - cmath.exp(-z) * total
 
 
 def exp_kernel(n: int, s):

@@ -261,6 +261,22 @@ rabi = 1.0
         assert row["total"] == pytest.approx(
             row["coherent_weight"] + row["incoherent_integral"])
 
+    def test_writer_formats_special_values(self, tmp_path, monkeypatch):
+        table = np.array([[np.nan, np.inf, -np.inf],
+                          [-0.0, 5e-324, 1e300],
+                          [0.1, -2.5, 123456789.0]])
+        monkeypatch.setitem(cli._RUNNERS, "decay-population",
+                            lambda cfg: (["a", "b", "c"], table))
+        monkeypatch.setattr(cli, "_WRITE_ROWS", 2)  # the rows span two blocks
+        out = tmp_path / "special.csv"
+        cfg = write_config(tmp_path, BASE.format(
+            mode="decay-population", out=out, extra_params="",
+            grids="[grid.time]\nstart = 0\nstop = 1\npoints = 3\n"))
+        assert run_main(["--config", cfg]) == 0
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[0] == "a,b,c"
+        assert lines[1:] == [",".join(f"{v:.12e}" for v in row) for row in table]
+
 
 class TestDeterminismAndOverrides:
     def test_byte_identical_reruns(self, tmp_path):

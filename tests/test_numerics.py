@@ -125,16 +125,29 @@ class TestKummerMinusExp:
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_vectorized_matches_scalar(self):
-        s = np.array([-0.3 + 1j, -20.0, -5.0 - 40.0j, 0.7])
-        vec = kummer_minus_exp(4, s)
-        for i, si in enumerate(s):
-            assert vec[i] == pytest.approx(kummer_minus_exp(4, complex(si)), rel=1e-13)
+        # a scalar takes its own pure-Python branch; the array path is its
+        # reference.  Arguments lie below, on and above |s| = n + 1.
+        for n in (0, 1, 4, 30):
+            r = n + 1.0
+            s = np.array([-0.3 + 1j, -20.0, -5.0 - 40.0j, 0.7, -0.5 * r, -r, r * 1j,
+                          r * np.exp(2j), -1.5 * r + 0.2j, 3.0 * r * np.exp(-2.5j)])
+            vec = kummer_minus_exp(n, s)
+            for i, si in enumerate(s):
+                for scalar in (complex(si), si, np.array(si)):
+                    got = kummer_minus_exp(n, scalar)
+                    assert np.ndim(got) == 0
+                    assert abs(got - vec[i]) <= 1e-13 * abs(vec[i])
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             kummer_minus_exp(-1, 1.0)
         with pytest.raises(ValueError):
             kummer_minus_exp(2, complex("nan"))
+        with pytest.raises(ValueError):
+            kummer_minus_exp(2, np.array([1.0, np.inf]))
+        # a scalar whose result leaves double range
+        with pytest.raises(OverflowError):
+            kummer_minus_exp(0, 800.0)
 
 
 def test_poisson_weight_matches_direct():
