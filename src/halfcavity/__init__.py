@@ -53,6 +53,7 @@ from .bloch import (
     delay_kernel,
     delay_bloch_transient,
     delay_bloch_steady,
+    delay_bloch_steady_states,
     strong_drive_envelope,
     drive_modulation,
 )
@@ -79,7 +80,8 @@ __all__ = [
     "CorrelationResult",
     "BlochVector", "BlochTrajectory", "DelayKernel", "markov_bloch_steady",
     "markov_bloch_transient", "epsilon_expansion_population", "delay_kernel",
-    "delay_bloch_transient", "delay_bloch_steady", "strong_drive_envelope",
+    "delay_bloch_transient", "delay_bloch_steady", "delay_bloch_steady_states",
+    "strong_drive_envelope",
     "drive_modulation",
     "SpectrumResult", "SpectrumKernel", "build_kernel", "incoherent_spectrum",
     "default_spectrum_grid", "total_flux_check",

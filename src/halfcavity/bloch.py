@@ -18,17 +18,21 @@ fluorescence is partially reflected back onto it:
 
   where A4 is the free-space generator in this basis and the kernel K is
   built from matrix elements of U(tau) = exp(A4 tau).  Steady states are
-  null eigenvectors of A4 + epsilon K(tau); transients run through the
-  delay integrator.  At strong drive the feedback contribution to the
-  steady population is modulated by a universal function of rabi*tau that
-  vanishes near multiples of pi: a strong laser can switch the mirror
-  effect off regardless of the atom's position.
+  null eigenvectors of A4 + epsilon K(tau), computed as a stack: a sweep
+  of parameter sets costs one stacked matrix exponential, eigenvalue and
+  SVD call, and a single state is the one-element case.  Transients run
+  through the delay integrator.  At strong drive the feedback contribution
+  to the steady population is modulated by a universal function of
+  rabi*tau that vanishes near multiples of pi: a strong laser can switch
+  the mirror effect off regardless of the atom's position.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,10 +52,38 @@ __all__ = [
     "delay_kernel",
     "delay_bloch_transient",
     "delay_bloch_steady",
+    "delay_bloch_steady_states",
     "strong_drive_envelope",
 ]
 
 GROUND_STATE4 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+
+# the checks of BlochVector.validate, in order
+_STATE_FAULTS = (
+    "s_plus is not the conjugate of s_minus",
+    "populations do not sum to one",
+    "populations are not real",
+    "excited population outside [0, 1]",
+)
+
+
+def _state_faults(s: np.ndarray, tol: float) -> np.ndarray:
+    """Flags (n, 4) of the :data:`_STATE_FAULTS` checks on rows (n, 4) of states."""
+    pop_e, pop_g = s[:, 2], s[:, 3]
+    return np.stack([
+        np.abs(s[:, 1] - np.conj(s[:, 0])) > tol,
+        np.abs(pop_e + pop_g - 1.0) > tol,
+        (np.abs(pop_e.imag) > tol) | (np.abs(pop_g.imag) > tol),
+        ~((-tol <= pop_e.real) & (pop_e.real <= 1.0 + tol)),
+    ], axis=-1)
+
+
+def _fields(p, *names):
+    """Fields of one parameter set as floats, or of a sequence as arrays (n,)."""
+    get = attrgetter(*names)
+    if isinstance(p, SystemParams):
+        return get(p) if len(names) > 1 else (get(p),)
+    return tuple(np.array([get(q) for q in p], dtype=float).reshape(-1, len(names)).T)
 
 
 @dataclass(frozen=True)
@@ -65,14 +97,9 @@ class BlochVector:
 
     def validate(self, tol: float = 1e-9) -> "BlochVector":
         """Enforce hermiticity and trace constraints; returns self."""
-        if abs(self.s_plus - np.conj(self.s_minus)) > tol:
-            raise ValueError("s_plus is not the conjugate of s_minus")
-        if abs(self.pop_e + self.pop_g - 1.0) > tol:
-            raise ValueError("populations do not sum to one")
-        if abs(self.pop_e.imag) > tol or abs(self.pop_g.imag) > tol:
-            raise ValueError("populations are not real")
-        if not -tol <= self.pop_e.real <= 1.0 + tol:
-            raise ValueError("excited population outside [0, 1]")
+        faults = _state_faults(self.as_array()[None], tol)[0]
+        if faults.any():
+            raise ValueError(_STATE_FAULTS[int(np.argmax(faults))])
         return self
 
     @property
@@ -123,22 +150,23 @@ def obe_generator3(p: SystemParams, gamma=None, detuning=None) -> np.ndarray:
     ], dtype=complex)
 
 
-def obe_generator4(p: SystemParams) -> np.ndarray:
+def obe_generator4(p: SystemParams | Sequence[SystemParams]) -> np.ndarray:
     """Free-space Bloch generator in the population pair basis.
 
     Same dynamics as :func:`obe_generator3` but on
     (<s->, <s+>, <s+s->, <s-s+>); using both populations makes the system
-    homogeneous (rows 3 and 4 sum to zero, preserving the trace).
+    homogeneous (rows 3 and 4 sum to zero, preserving the trace).  A
+    sequence of n parameter sets gives the stack (n, 4, 4).
     """
-    g = p.gamma
-    d = p.detuning
-    hw = 0.5j * p.rabi
-    return np.array([
-        [-0.5 * g - 1j * d, 0.0, -hw, hw],
-        [0.0, -0.5 * g + 1j * d, hw, -hw],
-        [-hw, hw, -g, 0.0],
-        [hw, -hw, g, 0.0],
-    ], dtype=complex)
+    g, d, w = _fields(p, "gamma", "detuning", "rabi")
+    hw = 0.5j * w
+    zero = np.zeros_like(hw)
+    return np.moveaxis(np.array([
+        [-0.5 * g - 1j * d, zero, -hw, hw],
+        [zero, -0.5 * g + 1j * d, hw, -hw],
+        [-hw, hw, -g, zero],
+        [hw, -hw, g, zero],
+    ], dtype=complex), (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +239,17 @@ class DelayKernel:
     basis), ``k_tau`` the kernel matrix multiplying epsilon*S(t - tau), and
     f1, f4 the scalar combinations of U(tau) elements on its diagonal.
     At tau = 0 the kernel reduces the delay system to the Markov-limit
-    equations exactly.
+    equations exactly.  Built for a sequence of n parameter sets, every
+    field gains a leading axis of length n.
     """
 
     u_tau: np.ndarray
     k_tau: np.ndarray
-    f1: complex
-    f4: complex
+    f1: complex | np.ndarray
+    f4: complex | np.ndarray
 
 
-def delay_kernel(p: SystemParams) -> DelayKernel:
+def delay_kernel(p: SystemParams | Sequence[SystemParams]) -> DelayKernel:
     """Build the feedback kernel from the free round-trip evolution.
 
     f1  = -e^{i theta_l}(U34 - U44)           (coherence damping),
@@ -230,24 +259,28 @@ def delay_kernel(p: SystemParams) -> DelayKernel:
 
     assembled into the kernel so rows 3 and 4 cancel (trace preserved) and
     rows 1 and 2 stay conjugate.  Every entry is a plain product of U
-    elements, so the kernel is smooth down to rabi = 0.
+    elements, so the kernel is smooth down to rabi = 0.  A sequence of
+    parameter sets gets all its U(tau) from one stacked matrix exponential.
     """
-    g, tau = p.gamma, p.tau
-    u = matrix_exponential(obe_generator4(p), tau) if tau > 0 else np.eye(4, dtype=complex)
-    e_plus = np.exp(1j * p.theta_l)
+    g, tau, theta_l = _fields(p, "gamma", "tau", "theta_l")
+    tau = np.asarray(tau)[..., None, None]
+    u = np.where(tau > 0, matrix_exponential(obe_generator4(p) * tau), np.eye(4))
+    e_plus = np.exp(1j * theta_l)
     e_minus = np.conj(e_plus)
 
-    f1 = -e_plus * (u[2, 3] - u[3, 3])
-    f4 = 0.5 * (e_minus * u[0, 0] + e_plus * np.conj(u[0, 0]))
-    k13 = -g * e_plus * np.conj(u[2, 0])
-    k31 = 0.5 * g * e_plus * u[1, 3]
+    ue = np.moveaxis(u, (-2, -1), (0, 1))    # ue[i, j]: a scalar, or one per set
+    f1 = -e_plus * (ue[2, 3] - ue[3, 3])
+    f4 = 0.5 * (e_minus * ue[0, 0] + e_plus * np.conj(ue[0, 0]))
+    k13 = -g * e_plus * np.conj(ue[2, 0])
+    k31 = 0.5 * g * e_plus * ue[1, 3]
 
-    k = np.array([
-        [0.5 * g * f1, 0.0, k13, 0.0],
-        [0.0, 0.5 * g * np.conj(f1), np.conj(k13), 0.0],
-        [k31, np.conj(k31), g * f4, 0.0],
-        [-k31, -np.conj(k31), -g * f4, 0.0],
-    ], dtype=complex)
+    zero = np.zeros_like(f1)
+    k = np.moveaxis(np.array([
+        [0.5 * g * f1, zero, k13, zero],
+        [zero, 0.5 * g * np.conj(f1), np.conj(k13), zero],
+        [k31, np.conj(k31), g * f4, zero],
+        [-k31, -np.conj(k31), -g * f4, zero],
+    ], dtype=complex), (0, 1), (-2, -1))
     return DelayKernel(u, k, f1, f4)
 
 
@@ -269,22 +302,47 @@ def delay_bloch_transient(p: SystemParams, t_end: float, n_out: int = 400,
 
 
 def delay_bloch_steady(p: SystemParams) -> BlochVector:
-    """Steady state of the delayed Bloch system.
+    """Steady state of the delayed Bloch system: the one-element case of
+    :func:`delay_bloch_steady_states`."""
+    return BlochVector.from_array(delay_bloch_steady_states([p])[0])
 
-    Null eigenvector of A4 + epsilon*K(tau), normalised to unit trace and
-    symmetrised so the conjugate-pair structure is exact.
+
+def delay_bloch_steady_states(ps: Sequence[SystemParams]) -> np.ndarray:
+    """Steady states of the delayed Bloch system, one row (ordered like
+    :class:`BlochVector`) per parameter set.
+
+    Each row is the null eigenvector of A4 + epsilon*K(tau), normalised to
+    unit trace, symmetrised so the conjugate-pair structure is exact and
+    checked like :meth:`BlochVector.validate` at tol 1e-7.  One stacked
+    kernel, eigenvalue and SVD call serve all rows, each as if alone.
+
+    Raises ``DegenerateKernelError`` (smallest eigenvalue not isolated),
+    ``numpy.linalg.LinAlgError`` (null vector with vanishing trace) or
+    ``ValueError`` (a validate check fails) for the first failing row; the
+    exception carries that row as ``index = (row,)``.
     """
-    kern = delay_kernel(p)
-    m = obe_generator4(p) + p.epsilon * kern.k_tau
+    (eps,) = _fields(ps, "epsilon")
+    m = obe_generator4(ps) + eps[:, None, None] * delay_kernel(ps).k_tau
     v = null_eigenvector(m)
-    trace = v[2] + v[3]
-    if abs(trace) < 1e-12:
-        raise np.linalg.LinAlgError("null vector has vanishing trace; cannot normalise")
-    v = v / trace
+    trace = v[:, 2] + v[:, 3]
+    _raise_first((np.abs(trace) < 1e-12)[:, None],
+                 ("null vector has vanishing trace; cannot normalise",),
+                 np.linalg.LinAlgError)
+    v = v / trace[:, None]
     # fold in the conjugation symmetry (s+ = conj(s-), real populations)
-    sym = np.array([np.conj(v[1]), np.conj(v[0]), np.conj(v[2]), np.conj(v[3])])
-    v = 0.5 * (v + sym)
-    return BlochVector.from_array(v).validate(tol=1e-7)
+    v = 0.5 * (v + np.conj(v[:, [1, 0, 2, 3]]))
+    _raise_first(_state_faults(v, 1e-7), _STATE_FAULTS, ValueError)
+    return v
+
+
+def _raise_first(faults: np.ndarray, messages, exc_type) -> None:
+    """Raise for the first row of ``faults`` (n, k) with a flag set, with
+    the message of its first flag; the exception carries ``index = (row,)``."""
+    if faults.any():
+        row = int(np.argmax(faults.any(axis=-1)))
+        exc = exc_type(f"steady state {row}: {messages[int(np.argmax(faults[row]))]}")
+        exc.index = (row,)
+        raise exc
 
 
 def strong_drive_envelope(p: SystemParams, theta0: float | None = None) -> float:

@@ -278,37 +278,48 @@ def _run_weak_g2(cfg):
         np.column_stack([ts, g1.values, g2.values])
 
 
+def _steady_pop_e(params, label):
+    """Steady excited populations of a list of parameter sets, in one call.
+
+    A numerical failure is re-raised with ``label(row)``, the sweep point
+    of the failing row, in front of its message.
+    """
+    try:
+        states = bloch.delay_bloch_steady_states(params)
+    except ValueError as exc:
+        index = getattr(exc, "index", None)
+        if index is None:
+            raise
+        raise type(exc)(f"{label(index[0])}: {exc}") from exc
+    return states[:, 2].real
+
+
 def _run_bloch_steady_sweep(cfg):
     p = cfg.params
     grid = cfg.grids["sweep"]
+    n = len(grid)
     var = cfg.extras.get("sweep_variable", "gamma_tau")
     if var == "gamma_tau":
-        def one(gt):
-            node = SystemParams(p.epsilon, gt / p.gamma, theta0=0.0,
-                                rabi=p.rabi, detuning=p.detuning, gamma=p.gamma)
-            anti = SystemParams(p.epsilon, gt / p.gamma, theta0=math.pi,
-                                rabi=p.rabi, detuning=p.detuning, gamma=p.gamma)
-            row = [gt,
-                   bloch.delay_bloch_steady(node).pop_e.real,
-                   bloch.delay_bloch_steady(anti).pop_e.real]
-            if p.detuning == 0.0:
-                row += [bloch.strong_drive_envelope(node, theta0=0.0),
-                        bloch.strong_drive_envelope(anti, theta0=math.pi)]
-            else:
-                row += [math.nan, math.nan]
-            return row
+        node, anti = ([SystemParams(p.epsilon, gt / p.gamma, theta0=th0, rabi=p.rabi,
+                                    detuning=p.detuning, gamma=p.gamma) for gt in grid]
+                      for th0 in (0.0, math.pi))
+        pops = _steady_pop_e(node + anti, lambda i: (
+            f"gamma_tau = {grid[i % n]:.12g} ({'node' if i < n else 'antinode'})"))
+        if p.detuning == 0.0:
+            env = [[bloch.strong_drive_envelope(q, theta0=0.0) for q in node],
+                   [bloch.strong_drive_envelope(q, theta0=math.pi) for q in anti]]
+        else:
+            env = np.full((2, n), math.nan)
         header = ["gamma_tau", "pop_e_node", "pop_e_antinode",
                   "envelope_node", "envelope_antinode"]
-    else:
-        def one(th):
-            q = SystemParams(p.epsilon, p.tau, theta_l=th,
-                             rabi=p.rabi, detuning=p.detuning, gamma=p.gamma)
-            return [th,
-                    bloch.delay_bloch_steady(q).pop_e.real,
-                    bloch.markov_bloch_steady(q).pop_e.real,
-                    bloch.epsilon_expansion_population(q)]
-        header = ["theta_l", "pop_e_delay", "pop_e_markov", "pop_e_expansion"]
-    return header, np.array([one(x) for x in grid])
+        return header, np.column_stack([grid, pops[:n], pops[n:], *env])
+    qs = [SystemParams(p.epsilon, p.tau, theta_l=th, rabi=p.rabi, detuning=p.detuning,
+                       gamma=p.gamma) for th in grid]
+    header = ["theta_l", "pop_e_delay", "pop_e_markov", "pop_e_expansion"]
+    return header, np.column_stack([
+        grid, _steady_pop_e(qs, lambda i: f"theta_l = {grid[i]:.12g}"),
+        [bloch.markov_bloch_steady(q).pop_e.real for q in qs],
+        [bloch.epsilon_expansion_population(q) for q in qs]])
 
 
 def _run_bloch_transient(cfg):
@@ -335,7 +346,7 @@ def _run_flux_check(cfg):
         p, cfg.grids.get("frequency"),
         include_delayed_source=cfg.extras.get("include_delayed_source", True))
     inc = spec.total_flux() - spec.coherent_weight
-    pop = bloch.delay_bloch_steady(p).pop_e.real
+    pop = spec.steady[2].real
     total = inc + spec.coherent_weight
     rel = abs(total - pop) / pop if pop else math.inf
     return ["coherent_weight", "incoherent_integral", "total", "steady_pop_e",

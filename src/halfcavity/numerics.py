@@ -7,12 +7,12 @@ exponential for the small (3x3 / 4x4) generators, window convolutions of
 two matrix exponentials, linear solves with a condition guard, the
 null eigenvector used for steady states, and the integral of a spectral
 density with C/delta^2 tails beyond its grid.  The matrix exponential,
-the window convolution and the guarded solve also take stacks of shape
-``(..., d, d)``, each matrix treated as if alone.  ``kummer_minus_exp``
-evaluates a 0-d argument in plain Python ``complex`` arithmetic: the scalar
-series make thousands of calls, and a 0-d array costs more in numpy's
-per-call overhead and per-iteration reductions than the arithmetic itself.
-All functions are pure.
+the window convolution, the guarded solve and the null eigenvector also
+take stacks of shape ``(..., d, d)``, each matrix treated as if alone.
+``kummer_minus_exp`` evaluates a 0-d argument in plain Python ``complex``
+arithmetic: the scalar series make thousands of calls, and a 0-d array
+costs more in numpy's per-call overhead and per-iteration reductions than
+the arithmetic itself.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -43,7 +43,14 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 
 class DegenerateKernelError(np.linalg.LinAlgError):
-    """Null-eigenvector extraction rejected: smallest eigenvalue not isolated."""
+    """Null-eigenvector extraction rejected: smallest eigenvalue not isolated.
+
+    ``index`` is the stack index of the rejected matrix (None for one matrix).
+    """
+
+    def __init__(self, message: str, index: tuple | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +311,36 @@ def solve_linear(m: np.ndarray, rhs: np.ndarray, cond_limit: float = 1e12) -> np
     """Solve ``m @ x = rhs`` with a condition-number guard.
 
     ``m`` is a matrix or a stack ``(..., d, d)``; ``rhs`` holds a vector
-    (``m.ndim - 1`` dimensions) or a matrix (``m.ndim``) per matrix.
+    (``m.ndim - 1`` dimensions) or a matrix (``m.ndim``) per matrix.  One
+    solve against ``[rhs | I]`` gives the solution and the inverse, and the
+    guard is ``d * ||m||_1 * ||m^-1||_1``.  Since kappa_2 <= d * kappa_1,
+    it never accepts a matrix whose 2-norm condition exceeds ``cond_limit``.
 
     Raises
     ------
     SingularMatrixError
-        If the worst 2-norm condition estimate in the stack exceeds
-        ``cond_limit``.
+        If a matrix in the stack is exactly singular, or the worst bound in
+        the stack exceeds ``cond_limit``.
     """
     m = np.asarray(m, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
-    sv = np.linalg.svd(m, compute_uv=False)
-    smax, smin = sv[..., 0], sv[..., -1]
-    cond = math.inf if np.any(smin == 0.0) else float(np.max(smax / smin, initial=0.0))
+    vector = rhs.ndim == m.ndim - 1
+    if vector:
+        rhs = rhs[..., None]
+    dim, cols = m.shape[-1], rhs.shape[-1]
+    ident = np.broadcast_to(np.eye(dim, dtype=complex), m.shape[:-2] + (dim, dim))
+    try:
+        sol = np.linalg.solve(m, np.concatenate([rhs, ident], axis=-1))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix exactly singular ({exc})") from exc
+    bound = (dim * np.linalg.norm(m, 1, axis=(-2, -1))
+             * np.linalg.norm(sol[..., cols:], 1, axis=(-2, -1)))
+    cond = float(np.max(bound, initial=0.0))
     if not math.isfinite(cond) or cond > cond_limit:
         raise SingularMatrixError(
-            f"matrix numerically singular (condition estimate {cond:.3e} "
+            f"matrix numerically singular (condition bound {cond:.3e} "
             f"exceeds {cond_limit:.1e})")
-    if rhs.ndim == m.ndim - 1:
-        return np.linalg.solve(m, rhs[..., None])[..., 0]
-    return np.linalg.solve(m, rhs)
+    return sol[..., 0] if vector else sol[..., :cols]
 
 
 def null_eigenvector(m: np.ndarray, separation: float = 10.0) -> np.ndarray:
@@ -332,24 +349,30 @@ def null_eigenvector(m: np.ndarray, separation: float = 10.0) -> np.ndarray:
     The eigenvalue of smallest modulus must be isolated: the next one has to
     be at least ``separation`` times larger in modulus.  The returned vector
     is the right singular vector of the smallest singular value, which
-    minimises ``||m @ v||``; normalisation is left to the caller.
+    minimises ``||m @ v||``; normalisation is left to the caller.  A stack
+    ``(..., d, d)`` gives a stack ``(..., d)``, each matrix treated as if
+    alone, from one stacked eigenvalue and one stacked SVD call.
 
     Raises
     ------
     DegenerateKernelError
-        If the separation requirement fails.
+        If the separation requirement fails; for a stack, its ``index`` is
+        the stack index of the first failing matrix.
     """
     m = np.asarray(m, dtype=complex)
-    eigvals = np.linalg.eigvals(m)
-    order = np.argsort(np.abs(eigvals))
-    lam0, lam1 = eigvals[order[0]], eigvals[order[1]]
+    mods = np.sort(np.abs(np.linalg.eigvals(m)), axis=-1)
+    lam0, lam1 = mods[..., 0], mods[..., 1]
     _, sv, vh = np.linalg.svd(m)
-    # sv[0] is the 2-norm of m
-    if abs(lam1) < separation * max(abs(lam0), 1e-14 * sv[0]):
+    # sv[..., 0] is the 2-norm of each matrix
+    bad = lam1 < separation * np.maximum(lam0, 1e-14 * sv[..., 0])
+    if np.any(bad):
+        index = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+        where = f" at stack index {','.join(map(str, index))}" if index else ""
         raise DegenerateKernelError(
-            f"smallest eigenvalue not isolated: |lam0|={abs(lam0):.3e}, "
-            f"|lam1|={abs(lam1):.3e}, required ratio {separation}")
-    return vh[-1].conj()
+            f"smallest eigenvalue not isolated{where}: |lam0|={lam0[index]:.3e}, "
+            f"|lam1|={lam1[index]:.3e}, required ratio {separation}",
+            index=index or None)
+    return vh[..., -1, :].conj()
 
 
 # ---------------------------------------------------------------------------

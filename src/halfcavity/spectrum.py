@@ -67,13 +67,16 @@ class SpectrumResult:
     ``delta_grid`` holds detunings from the laser line (units of gamma),
     ``incoherent`` the density per unit frequency, and ``coherent_weight``
     the delta-function weight |<sigma_->_ss|^2 at the laser line (never
-    rasterised onto the grid).
+    rasterised onto the grid).  ``steady`` is the steady state
+    (s-, s+, pop_e, pop_g) the spectrum was built on, None where none
+    entered.
     """
 
     delta_grid: np.ndarray
     incoherent: np.ndarray
     coherent_weight: float
     params_used: SystemParams
+    steady: np.ndarray | None = None
 
     def total_flux(self) -> float:
         """Coherent weight plus the integrated incoherent density.
@@ -315,7 +318,7 @@ def incoherent_spectrum(p: SystemParams, delta_grid=None,
 
     ss = kern.steady
     coherent = float(abs(ss[0]) ** 2)
-    return SpectrumResult(grid, dens, coherent, p)
+    return SpectrumResult(grid, dens, coherent, p, ss)
 
 
 def _checked_nonnegative(dens: np.ndarray, eps: float, rabi: float,

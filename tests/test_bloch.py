@@ -247,6 +247,76 @@ class TestDelaySteady:
         hc.delay_bloch_steady(p).validate(tol=1e-7)
 
 
+class TestDelaySteadyStack:
+    @staticmethod
+    def check_against_loop(ps):
+        states = hc.delay_bloch_steady_states(ps)
+        loop = np.array([hc.delay_bloch_steady(p).as_array() for p in ps])
+        assert states.shape == (len(ps), 4)
+        assert np.max(np.abs(states - loop)) <= 1e-14
+        for row in states:
+            hc.BlochVector.from_array(row).validate(tol=1e-7)
+
+    @pytest.mark.parametrize("detuning", [0.0, -1.3])
+    def test_gamma_tau_sweep_matches_loop(self, detuning):
+        # node and antinode rows, as the CLI stacks them; gamma_tau = 0 included
+        grid = np.linspace(0.0, 3.0, 13)
+        self.check_against_loop([
+            SystemParams(0.3, gt, theta0=th0, rabi=2.0, detuning=detuning)
+            for th0 in (0.0, math.pi) for gt in grid])
+
+    @pytest.mark.parametrize("detuning", [0.0, -1.3])
+    def test_theta_l_sweep_matches_loop(self, detuning):
+        self.check_against_loop([
+            SystemParams(0.3, 0.7, theta_l=th, rabi=1.7, detuning=detuning)
+            for th in np.linspace(0.0, 2 * math.pi, 17)])
+
+    def test_stacked_kernel_matches_per_set_kernels(self):
+        ps = [SystemParams(0.2, tau, theta_l=th, rabi=1.5, detuning=0.4)
+              for tau, th in ((0.0, 0.3), (0.5, 1.0), (2.0, 4.0))]
+        stack = hc.delay_kernel(ps)
+        assert stack.u_tau.shape == stack.k_tau.shape == (3, 4, 4)
+        assert stack.f1.shape == stack.f4.shape == (3,)
+        assert np.array_equal(stack.u_tau[0], np.eye(4))
+        for i, p in enumerate(ps):
+            kern = hc.delay_kernel(p)
+            assert np.array_equal(stack.u_tau[i], kern.u_tau)
+            assert np.max(np.abs(stack.k_tau[i] - kern.k_tau)) <= 1e-15
+            assert abs(stack.f1[i] - kern.f1) <= 1e-15 and abs(stack.f4[i] - kern.f4) <= 1e-15
+
+    def test_degenerate_row_is_named(self):
+        # epsilon = 1 at a node with no delay leaves no decay: the null space is degenerate
+        ps = [SystemParams(1.0, 0.0, theta_l=th, rabi=1.0) for th in (2.0, 1.0, 0.0, 1.0)]
+        with pytest.raises(hc.DegenerateKernelError, match="stack index 2") as info:
+            hc.delay_bloch_steady_states(ps)
+        assert info.value.index == (2,)
+
+    def test_invalid_row_is_named(self, monkeypatch):
+        from halfcavity import bloch
+        real = bloch.null_eigenvector
+
+        def broken(m):
+            v = real(m)
+            v[1] = [0.0, 0.0, 2.0, -1.0]   # unit trace, excited population 2
+            return v
+
+        monkeypatch.setattr(bloch, "null_eigenvector", broken)
+        ps = [SystemParams(0.1, 0.5, theta_l=th, rabi=1.0) for th in (0.0, 1.0, 2.0)]
+        with pytest.raises(ValueError, match="steady state 1: excited population") as info:
+            hc.delay_bloch_steady_states(ps)
+        assert info.value.index == (1,)
+
+    @pytest.mark.parametrize("state, message", [
+        ((0.1, 0.2, 0.5, 0.5), "conjugate"),
+        ((0.1, 0.1, 0.5, 0.4), "sum to one"),
+        ((0.1, 0.1, 0.5 + 1e-3j, 0.5 - 1e-3j), "not real"),
+        ((0.1, 0.1, 1.5, -0.5), "outside"),
+    ])
+    def test_validate_messages(self, state, message):
+        with pytest.raises(ValueError, match=message):
+            hc.BlochVector(*state).validate()
+
+
 class TestStrongDriveEnvelope:
     def test_zero_delay_reduces_to_expansion(self):
         p = SystemParams(epsilon=0.1, tau=0.0, theta0=0.0, rabi=20.0)

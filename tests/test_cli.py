@@ -261,6 +261,48 @@ rabi = 1.0
         assert row["total"] == pytest.approx(
             row["coherent_weight"] + row["incoherent_integral"])
 
+    @pytest.mark.parametrize("detuning", [0.0, 0.5])
+    def test_gamma_tau_sweep_envelopes_only_on_resonance(self, tmp_path, detuning):
+        # the strong-drive envelope is a resonant formula: detuned sweeps
+        # write NaN in both envelope columns
+        out = tmp_path / "sweep.csv"
+        cfg = write_config(tmp_path, BASE.format(
+            mode="bloch-steady-sweep", out=out, extra_params=f"rabi = 2.0\ndelta = {detuning}\n",
+            grids="[grid.sweep]\nstart = 0\nstop = 2\npoints = 5\n"))
+        assert run_main(["--config", cfg]) == 0
+        names, data = read_table(out)
+        assert names == ["gamma_tau", "pop_e_node", "pop_e_antinode",
+                         "envelope_node", "envelope_antinode"]
+        assert np.all(np.isfinite(data[:, :3]))
+        envelopes = data[:, 3:]
+        assert np.all(np.isnan(envelopes)) if detuning else np.all(np.isfinite(envelopes))
+
+    @pytest.mark.parametrize("sweep, params, grid, named", [
+        ("theta_l", "tau = 0.0\ntheta_l = 0.0\n", "start = -2\nstop = 2\npoints = 5\n",
+         "theta_l = 0:"),
+        ("gamma_tau", "gamma_tau = 0.0\ntheta0 = 0.0\n", "start = 0\nstop = 1\npoints = 3\n",
+         "gamma_tau = 0 (node):"),
+    ])
+    def test_degenerate_sweep_point_exits_3_naming_it(self, tmp_path, capsys,
+                                                      sweep, params, grid, named):
+        # epsilon = 1 at a node with no delay leaves no decay: the steady state
+        # is not isolated there, and only there
+        cfg = write_config(tmp_path, f"""
+[scenario]
+mode = bloch-steady-sweep
+out = {tmp_path / "sweep.csv"}
+
+[params]
+epsilon = 1.0
+rabi = 1.0
+sweep_variable = {sweep}
+{params}
+[grid.sweep]
+{grid}""")
+        assert run_main(["--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert "DegenerateKernelError" in err and named in err
+
     def test_writer_formats_special_values(self, tmp_path, monkeypatch):
         table = np.array([[np.nan, np.inf, -np.inf],
                           [-0.0, 5e-324, 1e300],

@@ -355,6 +355,27 @@ class TestSolveLinear:
         assert np.max(np.abs(got_vec - [solve_linear(mi, vi) for mi, vi in zip(m, vec)])) == 0.0
         assert np.max(np.abs(got_mat - [solve_linear(mi, bi) for mi, bi in zip(m, mat)])) == 0.0
 
+    def test_guard_bounds_the_2norm_condition(self):
+        # d * kappa_1 >= kappa_2: rejected whenever kappa_2 exceeds the limit,
+        # and never above d^2 * kappa_2
+        rng = np.random.default_rng(4)
+        for scale in np.logspace(0, 10, 21):
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            u, s, vh = np.linalg.svd(m)
+            m = u @ np.diag([1.0, 1.0, 1.0 / scale]) @ vh          # kappa_2 = scale
+            if scale > 1e8:
+                with pytest.raises(SingularMatrixError):
+                    solve_linear(m, np.ones(3), cond_limit=1e8)
+            if 9.0 * scale < 1e8:
+                solve_linear(m, np.ones(3), cond_limit=1e8)
+
+    def test_solution_equals_plain_solve(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3))
+        b = rng.normal(size=(50, 3)) + 1j * rng.normal(size=(50, 3))
+        plain = np.linalg.solve(m, b[..., None])[..., 0]
+        assert np.max(np.abs(solve_linear(m, b) - plain)) <= 1e-13 * np.max(np.abs(plain))
+
     def test_one_singular_member_rejects_the_stack(self):
         m = np.array([np.eye(2), [[1.0, 1.0], [1.0, 1.0 + 1e-15]], 2 * np.eye(2)])
         with pytest.raises(SingularMatrixError):
@@ -399,5 +420,27 @@ class TestNullEigenvector:
         assert cosang > 1.0 - 1e-8
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateKernelError):
+        with pytest.raises(DegenerateKernelError) as info:
             null_eigenvector(np.diag([1e-3, 5e-3, 1.0, 2.0]))
+        assert info.value.index is None
+        assert "stack index" not in str(info.value)
+
+    def test_stack_equals_per_matrix_loop(self):
+        rng = np.random.default_rng(8)
+        basis = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        spectra = np.array([1e-6, 1.0, 2.0 + 1j, -3.0]) * rng.uniform(0.5, 2.0, size=(2, 3, 1))
+        m = basis @ (spectra[..., None] * np.linalg.inv(basis))
+        got = null_eigenvector(m)
+        loop = np.array([[null_eigenvector(mij) for mij in mi] for mi in m])
+        assert got.shape == (2, 3, 4)
+        assert np.max(np.abs(got - loop)) == 0.0
+
+    def test_stack_names_its_degenerate_member(self):
+        m = np.array([np.diag([1e-9, 1.0, 2.0, 3.0]), np.diag([1e-9, 1.0, 2.0, 3.0]),
+                      np.diag([1e-3, 5e-3, 1.0, 2.0]), np.diag([1e-3, 5e-3, 1.0, 2.0])])
+        with pytest.raises(DegenerateKernelError, match="at stack index 2:") as info:
+            null_eigenvector(m)
+        assert info.value.index == (2,)
+        with pytest.raises(DegenerateKernelError, match="at stack index 1,0:") as info:
+            null_eigenvector(m.reshape(2, 2, 4, 4))
+        assert info.value.index == (1, 0)

@@ -251,6 +251,12 @@ class TestFluxIdentity:
         spec = hc.SpectrumResult(grid, lorentzian, 0.25, SystemParams())
         assert spec.total_flux() == pytest.approx(0.5 + 0.25, abs=1e-4)
 
+    def test_result_carries_the_steady_state_it_used(self):
+        p = SystemParams(epsilon=0.15, tau=2.0, theta_l=0.0, rabi=0.7)
+        spec = hc.incoherent_spectrum(p, np.linspace(-10.0, 10.0, 41))
+        assert np.array_equal(spec.steady, hc.delay_bloch_steady(p).as_array())
+        assert spec.coherent_weight == abs(spec.steady[0]) ** 2
+
     def test_delayed_source_improves_identity(self):
         p = SystemParams(epsilon=0.15, tau=2.0, theta_l=0.0, rabi=0.2)
         pop = hc.delay_bloch_steady(p).pop_e.real
